@@ -147,12 +147,6 @@ func MachineConfig(cfg Config, shard int) sim.Config {
 	return mc
 }
 
-// pending is one queued request with its arrival time.
-type pending struct {
-	req     *Request
-	arrival int64
-}
-
 // Shard is one machine of the fleet plus its service-tier state.
 type Shard struct {
 	id  int
@@ -172,15 +166,26 @@ type Shard struct {
 	rec *timeseries.Recorder
 	ops uint64
 
-	queue   []pending
-	closeAt int64
+	// queue is the open batch. flush splits it into the singles and
+	// multis scratch buffers and then reuses its backing array: nothing
+	// enqueues while a batch executes.
+	queue, singles, multis []Request
+	closeAt                int64
+
+	// runBatch is the Machine.Run body of a batch's single-shard requests,
+	// bound once in New; batchStart and batchDur are its per-batch inputs
+	// and output.
+	runBatch   func(*sim.Strand)
+	batchStart int64
+	batchDur   int64
 }
 
-// Request is one unit of offered load.
+// Request is one unit of offered load: a single op, or two for a
+// cross-shard transaction, stored inline so queueing it allocates nothing.
 type Request struct {
-	id      uint64
 	arrival int64
-	ops     []Op
+	n       int
+	ops     [2]Op
 }
 
 // Fleet is a running sharded service.
@@ -194,6 +199,11 @@ type Fleet struct {
 	committed2PC uint64
 	aborted2PC   uint64
 	lastComplete int64
+
+	// Per-fleet 2PC scratch (see participants and leg); the fleet runs
+	// one transaction and one phase at a time.
+	parts []participant
+	leg   leg
 }
 
 // New builds the fleet: Shards machines, each with its own TM system,
@@ -218,6 +228,7 @@ func New(cfg Config) (*Fleet, error) {
 		return nil, fmt.Errorf("service: router routes over %d shards, fleet has %d", router.Shards(), cfg.Shards)
 	}
 	f := &Fleet{cfg: cfg, router: router, lat: obs.NewLatencyRecorder(), nextTxn: 1}
+	f.leg.bind()
 	for i := 0; i < cfg.Shards; i++ {
 		m := sim.New(MachineConfig(cfg, i))
 		sh := &Shard{
@@ -227,6 +238,7 @@ func New(cfg Config) (*Fleet, error) {
 			lat: obs.NewLatencyRecorder(),
 			rec: timeseries.NewRecorder(cfg.Window),
 		}
+		sh.runBatch = func(st *sim.Strand) { f.runSingles(sh, st) }
 		sh.rec.SetFreqGHz(m.Config().Costs.FreqGHz)
 		m.AttachEventSink(sh.rec)
 		// Capacity: every key can be resident, plus in-flight churn headroom.
@@ -359,14 +371,15 @@ func (f *Fleet) Run(load LoadSpec) (Result, error) {
 	for i := 0; i < load.Requests; i++ {
 		at := src.NextArrival()
 		opIdx, key := src.Next()
-		r := &Request{id: uint64(i), arrival: at}
 		kind := opKindOf(opIdx)
-		r.ops = append(r.ops, Op{Kind: kind, Key: key, Val: sim.Word(i + 1)})
+		r := Request{arrival: at, n: 1}
+		r.ops[0] = Op{Kind: kind, Key: key, Val: sim.Word(i + 1)}
 		if load.CrossPct > 0 && src.ExtraRoll(100) < load.CrossPct {
-			r.ops = append(r.ops, Op{Kind: kind, Key: src.ExtraKey(), Val: sim.Word(i + 1)})
+			r.ops[1] = Op{Kind: kind, Key: src.ExtraKey(), Val: sim.Word(i + 1)}
+			r.n = 2
 		}
 		f.flushDue(at)
-		f.enqueue(r, at, src)
+		f.enqueue(r, src)
 	}
 	f.drain(src)
 	return f.result(load), nil
@@ -387,14 +400,14 @@ func opKindOf(idx int) OpKind {
 // batch immediately when it reaches MaxSize. The coordinator is the first
 // op's shard; a multi-op request rides the same queue and runs its 2PC
 // when the batch executes.
-func (f *Fleet) enqueue(r *Request, at int64, src *workload.Source) {
+func (f *Fleet) enqueue(r Request, src *workload.Source) {
 	sh := f.shards[f.router.Shard(r.ops[0].Key)]
 	if len(sh.queue) == 0 {
-		sh.closeAt = at + f.cfg.Batch.MaxDelay
+		sh.closeAt = r.arrival + f.cfg.Batch.MaxDelay
 	}
-	sh.queue = append(sh.queue, pending{req: r, arrival: at})
+	sh.queue = append(sh.queue, r)
 	if len(sh.queue) >= f.cfg.Batch.MaxSize {
-		f.flush(sh, at, src)
+		f.flush(sh, r.arrival, src)
 	}
 }
 
@@ -443,55 +456,59 @@ func (f *Fleet) drain(src *workload.Source) {
 // coordinator. closeTime is the fleet cycle the batch closed; execution
 // starts once the shard machine is free.
 func (f *Fleet) flush(sh *Shard, closeTime int64, src *workload.Source) {
-	batch := sh.queue
-	sh.queue = nil
 	start := closeTime
 	if sh.busyUntil > start {
 		start = sh.busyUntil
 	}
-	var singles, multis []pending
-	for _, p := range batch {
-		if len(p.req.ops) == 1 {
-			singles = append(singles, p)
+	sh.singles, sh.multis = sh.singles[:0], sh.multis[:0]
+	for _, r := range sh.queue {
+		if r.n == 1 {
+			sh.singles = append(sh.singles, r)
 		} else {
-			multis = append(multis, p)
+			sh.multis = append(sh.multis, r)
 		}
 	}
-	if len(singles) > 0 {
-		strands := f.cfg.Strands
-		var dur int64
-		sh.m.Run(func(st *sim.Strand) {
-			t0 := st.Clock()
-			ses := sh.ses[st.ID()]
-			for idx := st.ID(); idx < len(singles); idx += strands {
-				p := singles[idx]
-				op := p.req.ops[0]
-				switch op.Kind {
-				case Lookup:
-					ses.Lookup(op.Key)
-				case Insert:
-					ses.Insert(op.Key, op.Val)
-				default:
-					ses.Delete(op.Key)
-				}
-				off := st.Clock() - t0
-				f.complete(sh, st.Clock(), start+off, p.arrival)
-			}
-			if d := st.Clock() - t0; d > dur {
-				dur = d
-			}
-		})
-		sh.busyUntil = start + dur
+	sh.queue = sh.queue[:0]
+	if len(sh.singles) > 0 {
+		sh.batchStart, sh.batchDur = start, 0
+		sh.m.Run(sh.runBatch)
+		sh.busyUntil = start + sh.batchDur
 	} else if sh.busyUntil < start {
 		sh.busyUntil = start
 	}
-	for _, p := range multis {
+	for i := range sh.multis {
+		r := &sh.multis[i]
 		failAfter := -1
 		if src != nil && f.cfg.CoordFailPct > 0 && src.ExtraRoll(100) < f.cfg.CoordFailPct {
-			failAfter = src.ExtraRoll(len(p.req.ops))
+			failAfter = src.ExtraRoll(r.n)
 		}
-		out := f.RunTxn(sh.busyUntil, p.req.ops, failAfter)
-		f.complete(sh, sh.m.Strand(0).Clock(), out.Completed, p.arrival)
+		out := f.RunTxn(sh.busyUntil, r.ops[:r.n], failAfter)
+		f.complete(sh, sh.m.Strand(0).Clock(), out.Completed, r.arrival)
+	}
+}
+
+// runSingles is strand st's share of sh's batch: the single-shard
+// requests round-robin by strand ID, each completing at the batch start
+// plus the strand's elapsed cycles.
+func (f *Fleet) runSingles(sh *Shard, st *sim.Strand) {
+	t0 := st.Clock()
+	ses := sh.ses[st.ID()]
+	for idx := st.ID(); idx < len(sh.singles); idx += f.cfg.Strands {
+		r := &sh.singles[idx]
+		op := r.ops[0]
+		switch op.Kind {
+		case Lookup:
+			ses.Lookup(op.Key)
+		case Insert:
+			ses.Insert(op.Key, op.Val)
+		default:
+			ses.Delete(op.Key)
+		}
+		off := st.Clock() - t0
+		f.complete(sh, st.Clock(), sh.batchStart+off, r.arrival)
+	}
+	if d := st.Clock() - t0; d > sh.batchDur {
+		sh.batchDur = d
 	}
 }
 

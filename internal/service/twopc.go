@@ -1,6 +1,8 @@
 package service
 
 import (
+	"slices"
+
 	"rocktm/internal/core"
 	"rocktm/internal/sim"
 )
@@ -39,23 +41,22 @@ type participant struct {
 
 // participants groups ops by shard in first-touch order. A transaction
 // touching the same shard twice collapses to one participant with both
-// ops — one prepare, one commit — not two independent legs.
+// ops — one prepare, one commit — not two independent legs. The result
+// lives in the fleet's scratch buffer and is valid until the next call.
 func (f *Fleet) participants(ops []Op) []participant {
-	var parts []participant
+	parts := f.parts[:0]
 	for _, op := range ops {
 		id := f.router.Shard(op.Key)
-		merged := false
-		for i := range parts {
-			if parts[i].sh.id == id {
-				parts[i].ops = append(parts[i].ops, op)
-				merged = true
-				break
-			}
+		i := slices.IndexFunc(parts, func(p participant) bool { return p.sh.id == id })
+		if i < 0 {
+			// Reuse the slot, and its ops buffer, from an earlier call.
+			i = len(parts)
+			parts = slices.Grow(parts, 1)[:i+1]
+			parts[i].sh, parts[i].ops = f.shards[id], parts[i].ops[:0]
 		}
-		if !merged {
-			parts = append(parts, participant{sh: f.shards[id], ops: []Op{op}})
-		}
+		parts[i].ops = append(parts[i].ops, op)
 	}
+	f.parts = parts
 	return parts
 }
 
@@ -68,26 +69,75 @@ type TxnOutcome struct {
 	Completed int64
 }
 
-// phase runs body on strand 0 of sh's machine, starting no earlier than
-// fleet cycle earliest and no earlier than the shard being free, and
-// returns the fleet cycle at which the phase completes. Shard CPU time
-// advances by exactly the cycles the body consumed.
-func (f *Fleet) phase(sh *Shard, earliest int64, body func(st *sim.Strand)) int64 {
+// legKind is which 2PC transaction a leg runs.
+type legKind uint8
+
+const (
+	legPrepare legKind = iota
+	legCommit
+	legAbort
+)
+
+// leg is the 2PC phase in flight: one participant's prepare, commit or
+// abort transaction. A fleet runs one phase at a time on one goroutine,
+// so a single leg, with its Machine.Run and TM bodies bound once by bind,
+// serves every phase without allocating.
+type leg struct {
+	kind  legKind
+	sh    *Shard
+	txid  uint64
+	ops   []Op
+	voted bool
+	dur   int64
+
+	// Commit scratch, one entry per op.
+	nodes    []sim.Addr
+	inserted []bool
+	removed  []sim.Addr
+
+	run                          func(*sim.Strand)
+	prepareTx, commitTx, abortTx func(core.Ctx)
+}
+
+// bind builds the leg's bodies once.
+func (l *leg) bind() {
+	l.run = l.strand
+	l.prepareTx, l.commitTx, l.abortTx = l.prepare, l.commit, l.abort
+}
+
+// phase runs kind's transaction for txid's ops on strand 0 of shard i's
+// machine, starting no earlier than fleet cycle earliest and no earlier
+// than the shard being free, and returns the fleet cycle at which the
+// phase completes. Shard CPU time advances by exactly the cycles the
+// transaction consumed.
+func (f *Fleet) phase(kind legKind, i int, earliest int64, txid uint64, ops []Op) int64 {
+	l := &f.leg
+	l.kind, l.sh, l.txid, l.ops, l.dur = kind, f.shards[i], txid, ops, 0
 	start := earliest
-	if sh.busyUntil > start {
-		start = sh.busyUntil
+	if l.sh.busyUntil > start {
+		start = l.sh.busyUntil
 	}
-	var dur int64
-	sh.m.Run(func(st *sim.Strand) {
-		if st.ID() != 0 {
-			return
-		}
-		t0 := st.Clock()
-		body(st)
-		dur = st.Clock() - t0
-	})
-	sh.busyUntil = start + dur
-	return sh.busyUntil
+	l.sh.m.Run(l.run)
+	l.sh.busyUntil = start + l.dur
+	return l.sh.busyUntil
+}
+
+// strand is the leg's Machine.Run body: strand 0 runs the transaction,
+// the other strands return at once.
+func (l *leg) strand(st *sim.Strand) {
+	if st.ID() != 0 {
+		return
+	}
+	t0 := st.Clock()
+	switch l.kind {
+	case legPrepare:
+		l.sh.sys.Atomic(st, l.prepareTx)
+	case legCommit:
+		l.commitStrand(st)
+	default:
+		l.sh.sys.Atomic(st, l.abortTx)
+	}
+	l.dur = st.Clock() - t0
 }
 
 // PrepareShard runs the prepare transaction for txid's ops on shard i,
@@ -97,33 +147,33 @@ func (f *Fleet) phase(sh *Shard, earliest int64, body func(st *sim.Strand)) int6
 // owners and stages op kind and value in simulated memory. It reports
 // whether the participant voted yes and the fleet cycle of the ack.
 func (f *Fleet) PrepareShard(i int, at int64, txid uint64, ops []Op) (bool, int64) {
-	sh := f.shards[i]
-	voted := false
-	done := f.phase(sh, at, func(st *sim.Strand) {
-		sh.sys.Atomic(st, func(c core.Ctx) {
-			ok := true
-			for _, op := range ops {
-				owner := c.Load(sh.lockOwner + sim.Addr(op.Key))
-				c.Branch(pcPrepOwner, owner != 0, true)
-				if owner != 0 && uint64(owner) != txid {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				for _, op := range ops {
-					sh.tab.Lookup(c, op.Key) // validation read
-					c.Store(sh.lockOwner+sim.Addr(op.Key), sim.Word(txid))
-					c.Store(sh.stagedOp+sim.Addr(op.Key), sim.Word(op.Kind)+1)
-					c.Store(sh.stagedVal+sim.Addr(op.Key), op.Val)
-				}
-			}
-			// Host flag is written unconditionally at the end of the body, so
-			// an aborted-and-retried attempt cannot leave a stale vote.
-			voted = ok
-		})
-	})
-	return voted, done
+	done := f.phase(legPrepare, i, at, txid, ops)
+	return f.leg.voted, done
+}
+
+// prepare is the prepare transaction's body.
+func (l *leg) prepare(c core.Ctx) {
+	sh := l.sh
+	ok := true
+	for _, op := range l.ops {
+		owner := c.Load(sh.lockOwner + sim.Addr(op.Key))
+		c.Branch(pcPrepOwner, owner != 0, true)
+		if owner != 0 && uint64(owner) != l.txid {
+			ok = false
+			break
+		}
+	}
+	if ok {
+		for _, op := range l.ops {
+			sh.tab.Lookup(c, op.Key) // validation read
+			c.Store(sh.lockOwner+sim.Addr(op.Key), sim.Word(l.txid))
+			c.Store(sh.stagedOp+sim.Addr(op.Key), sim.Word(op.Kind)+1)
+			c.Store(sh.stagedVal+sim.Addr(op.Key), op.Val)
+		}
+	}
+	// Host flag is written unconditionally at the end of the body, so
+	// an aborted-and-retried attempt cannot leave a stale vote.
+	l.voted = ok
 }
 
 // CommitShard runs the commit transaction for txid's ops on shard i:
@@ -132,45 +182,54 @@ func (f *Fleet) PrepareShard(i int, at int64, txid uint64, ops []Op) (bool, int6
 // the atomic block (the Session pattern), and losers are returned to the
 // pool after it.
 func (f *Fleet) CommitShard(i int, at int64, txid uint64, ops []Op) int64 {
-	sh := f.shards[i]
-	return f.phase(sh, at, func(st *sim.Strand) {
-		nodes := make([]sim.Addr, len(ops))
-		for j, op := range ops {
-			if op.Kind == Insert {
-				nodes[j] = sh.tab.AllocNode(st, op.Key, op.Val)
-			}
+	return f.phase(legCommit, i, at, txid, ops)
+}
+
+// commitStrand runs the commit transaction on st, with its node
+// preallocation before and its node frees after.
+func (l *leg) commitStrand(st *sim.Strand) {
+	sh, n := l.sh, len(l.ops)
+	l.nodes = slices.Grow(l.nodes[:0], n)[:n]
+	l.inserted = slices.Grow(l.inserted[:0], n)[:n]
+	l.removed = slices.Grow(l.removed[:0], n)[:n]
+	for j, op := range l.ops {
+		l.nodes[j] = 0
+		if op.Kind == Insert {
+			l.nodes[j] = sh.tab.AllocNode(st, op.Key, op.Val)
 		}
-		inserted := make([]bool, len(ops))
-		removed := make([]sim.Addr, len(ops))
-		sh.sys.Atomic(st, func(c core.Ctx) {
-			// Reset host-side results first: the body may retry.
-			for j := range ops {
-				inserted[j] = false
-				removed[j] = 0
-			}
-			for j, op := range ops {
-				switch op.Kind {
-				case Lookup:
-					sh.tab.Lookup(c, op.Key)
-				case Insert:
-					inserted[j] = sh.tab.InsertNode(c, op.Key, nodes[j])
-				default:
-					removed[j] = sh.tab.DeleteNode(c, op.Key)
-				}
-				c.Store(sh.lockOwner+sim.Addr(op.Key), 0)
-				c.Store(sh.stagedOp+sim.Addr(op.Key), 0)
-				c.Store(sh.stagedVal+sim.Addr(op.Key), 0)
-			}
-		})
-		for j, op := range ops {
-			if op.Kind == Insert && !inserted[j] {
-				sh.tab.FreeNode(st, nodes[j])
-			}
-			if removed[j] != 0 {
-				sh.tab.FreeNode(st, removed[j])
-			}
+	}
+	sh.sys.Atomic(st, l.commitTx)
+	for j, op := range l.ops {
+		if op.Kind == Insert && !l.inserted[j] {
+			sh.tab.FreeNode(st, l.nodes[j])
 		}
-	})
+		if l.removed[j] != 0 {
+			sh.tab.FreeNode(st, l.removed[j])
+		}
+	}
+}
+
+// commit is the commit transaction's body.
+func (l *leg) commit(c core.Ctx) {
+	sh := l.sh
+	// Reset host-side results first: the body may retry.
+	for j := range l.ops {
+		l.inserted[j] = false
+		l.removed[j] = 0
+	}
+	for j, op := range l.ops {
+		switch op.Kind {
+		case Lookup:
+			sh.tab.Lookup(c, op.Key)
+		case Insert:
+			l.inserted[j] = sh.tab.InsertNode(c, op.Key, l.nodes[j])
+		default:
+			l.removed[j] = sh.tab.DeleteNode(c, op.Key)
+		}
+		c.Store(sh.lockOwner+sim.Addr(op.Key), 0)
+		c.Store(sh.stagedOp+sim.Addr(op.Key), 0)
+		c.Store(sh.stagedVal+sim.Addr(op.Key), 0)
+	}
 }
 
 // AbortShard runs the abort transaction for txid's ops on shard i:
@@ -179,19 +238,19 @@ func (f *Fleet) CommitShard(i int, at int64, txid uint64, ops []Op) int64 {
 // the owner words, and both are exactly their pre-transaction values
 // after an abort.
 func (f *Fleet) AbortShard(i int, at int64, txid uint64, ops []Op) int64 {
-	sh := f.shards[i]
-	return f.phase(sh, at, func(st *sim.Strand) {
-		sh.sys.Atomic(st, func(c core.Ctx) {
-			for _, op := range ops {
-				a := sh.lockOwner + sim.Addr(op.Key)
-				owner := c.Load(a)
-				c.Branch(pcAbortOwner, uint64(owner) == txid, true)
-				if uint64(owner) == txid {
-					c.Store(a, 0)
-				}
-			}
-		})
-	})
+	return f.phase(legAbort, i, at, txid, ops)
+}
+
+// abort is the abort transaction's body.
+func (l *leg) abort(c core.Ctx) {
+	for _, op := range l.ops {
+		a := l.sh.lockOwner + sim.Addr(op.Key)
+		owner := c.Load(a)
+		c.Branch(pcAbortOwner, uint64(owner) == l.txid, true)
+		if uint64(owner) == l.txid {
+			c.Store(a, 0)
+		}
+	}
 }
 
 // crashRecoveryRPCs is the extra round trips a crashed coordinator's

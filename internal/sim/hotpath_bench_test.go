@@ -120,6 +120,42 @@ func BenchmarkSchedulerHandoffStepped(b *testing.B) {
 	}
 }
 
+// runRepeatedBody is BenchmarkMachineRunRepeated's strand body: a few
+// quantum-crossing advances, so every Run also performs handoffs.
+func runRepeatedBody(s *Strand) {
+	for i := 0; i < 4; i++ {
+		s.Advance(100)
+	}
+}
+
+// BenchmarkMachineRunRepeated measures one whole Run call on a 4-strand
+// machine with a trivial body — the per-call cost the service tier pays
+// for every batch and every 2PC phase. With pooled strand coroutines a
+// warm Run creates no goroutine and allocates nothing; starting four
+// fresh iter.Pull coroutines per call cost several allocations each plus
+// their stack growth.
+func BenchmarkMachineRunRepeated(b *testing.B) {
+	cfg := DefaultConfig(4)
+	cfg.MemWords = 1 << 16
+	m := New(cfg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Run(runRepeatedBody)
+	}
+}
+
+// TestMachineRunRepeatedAllocs pins BenchmarkMachineRunRepeated's
+// allocations: at most one per Run call.
+func TestMachineRunRepeatedAllocs(t *testing.T) {
+	cfg := DefaultConfig(4)
+	cfg.MemWords = 1 << 16
+	m := New(cfg)
+	if allocs := testing.AllocsPerRun(200, func() { m.Run(runRepeatedBody) }); allocs > 1 {
+		t.Errorf("Machine.Run allocates %.1f times per call, budget is 1 — the strand coroutines are no longer reused", allocs)
+	}
+}
+
 // ---- Plain loads and stores ----
 
 // benchMachine1 builds a single-strand machine with a small memory.

@@ -11,7 +11,10 @@
 // runs are bit-for-bit reproducible, there are no Go data races by
 // construction, and 1–16-"thread" scaling curves are meaningful even on a
 // single-core host because throughput is computed from simulated cycles,
-// not wall time.
+// not wall time. Like Rock's hardware contexts, the coroutines persist:
+// Machine.Run borrows them from a process-wide set of idle workers and
+// returns them afterwards, so repeated runs reuse goroutines whose stacks
+// have already grown.
 package sim
 
 import (
@@ -19,6 +22,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"iter"
+	"runtime"
+	"sync"
 
 	"rocktm/internal/obs"
 )
@@ -390,14 +395,19 @@ func (m *Machine) PublishMetrics(reg *obs.Registry) {
 // called repeatedly; strand clocks, caches and predictors persist across
 // calls (use a fresh Machine for an independent experiment).
 //
-// Each strand body runs on a coroutine (iter.Pull), and this driver loop
-// resumes whichever parked strand has the lowest (clock, id) — the same
-// handoff decisions the old strand-to-strand channel baton made, executed
-// as direct goroutine switches instead of park/wake round trips through
-// the Go scheduler (~5x cheaper per handoff on a single-core host). A body
-// panic (e.g. the MaxCycles livelock guard) propagates out of Run on the
-// caller's goroutine; iter.Pull likewise forwards runtime.Goexit (t.Fatal
-// inside a body), so Run never deadlocks on a dead strand.
+// Each strand body runs on a coroutine (iter.Pull) borrowed from the
+// process-wide idle worker set, and this driver loop resumes whichever
+// parked strand has the lowest (clock, id) — the same handoff decisions
+// the old strand-to-strand channel baton made, executed as direct
+// goroutine switches instead of park/wake round trips through the Go
+// scheduler (~5x cheaper per handoff on a single-core host). Workers go
+// back to the idle set when Run returns, keeping their grown stacks, so a
+// warm Run creates no goroutine and allocates nothing. A body panic (e.g.
+// the MaxCycles livelock guard) propagates out of Run on the caller's
+// goroutine; iter.Pull likewise forwards runtime.Goexit (t.Fatal inside a
+// body), so Run never deadlocks on a dead strand. After such an exit the
+// dead worker and the workers parked mid-body are abandoned, never
+// reused.
 func (m *Machine) Run(body func(*Strand)) {
 	if m.running {
 		panic("sim: Run re-entered")
@@ -407,18 +417,21 @@ func (m *Machine) Run(body func(*Strand)) {
 	for _, s := range m.strands {
 		s.parked = true
 		m.heapPush(s)
-		s.resume, s.cancel = iter.Pull(func(yield func(struct{}) bool) {
-			s.yield = yield
-			body(s)
-		})
 	}
+	m.lendWorkers(body)
+	finished := false
+	defer func() {
+		if !finished {
+			m.abandonWorkers()
+		}
+	}()
 	// Hand the baton to the strand with the lowest clock; keep handing it
 	// to the laggard until every body has returned.
 	c := m.heapPop()
 	for {
 		c.parked = false
 		m.grant(c)
-		if _, yielded := c.resume(); yielded {
+		if c.w.resume(); !c.w.done {
 			// c's body called yieldBaton: park it, resume the laggard.
 			// heapReplaceMin(c) is the pop-then-push of the old handoff
 			// fused into one sift-down.
@@ -426,15 +439,118 @@ func (m *Machine) Run(body func(*Strand)) {
 			c = m.heapReplaceMin(c)
 			continue
 		}
-		// c's body returned: retire its coroutine and move on.
-		c.cancel()
-		c.yield = nil
+		// c's body returned; its worker waits for the next body.
 		if len(m.parked) == 0 {
 			break
 		}
 		c = m.heapPop()
 	}
+	finished = true
+	m.returnWorkers()
 	m.running = false
+}
+
+// worker is one strand coroutine that outlives the Run call it serves:
+// an iter.Pull goroutine that loops, running each body it is lent, marking
+// it done and yielding. The driver tells a finished body from a mid-body
+// yield by that mark. While idle a worker holds no strand, machine or body
+// reference, so the pool never pins a retired machine's memory.
+type worker struct {
+	resume func() (struct{}, bool)
+	cancel func()
+
+	// s and body are the next strand and body to run; the worker clears
+	// body when it starts it and s once the body has returned.
+	s    *Strand
+	body func(*Strand)
+	done bool
+}
+
+func newWorker() *worker {
+	w := new(worker)
+	w.resume, w.cancel = iter.Pull(func(yield func(struct{}) bool) {
+		for {
+			s, body := w.s, w.body
+			w.body = nil
+			s.yield = yield
+			body(s)
+			s.yield = nil
+			w.s, w.done = nil, true
+			if !yield(struct{}{}) {
+				return
+			}
+		}
+	})
+	return w
+}
+
+// idleWorkers is the process-wide set of idle workers. Runner cells call
+// Run on several goroutines at once, hence the mutex.
+var idleWorkers struct {
+	sync.Mutex
+	w []*worker
+}
+
+// maxIdleWorkers caps the idle set at one full machine of strands per
+// processor that can be inside a Run at once; workers returned past the
+// cap are cancelled.
+var maxIdleWorkers = MaxStrands * runtime.GOMAXPROCS(0)
+
+// lendWorkers gives every strand an idle worker (a new one when the set
+// runs dry) primed with body.
+func (m *Machine) lendWorkers(body func(*Strand)) {
+	idleWorkers.Lock()
+	for _, s := range m.strands {
+		if n := len(idleWorkers.w) - 1; n >= 0 {
+			s.w = idleWorkers.w[n]
+			idleWorkers.w[n] = nil
+			idleWorkers.w = idleWorkers.w[:n]
+		}
+	}
+	idleWorkers.Unlock()
+	for _, s := range m.strands {
+		if s.w == nil {
+			s.w = newWorker()
+		}
+		s.w.s, s.w.body, s.w.done = s, body, false
+	}
+}
+
+// returnWorkers puts the strands' workers back in the idle set, cancelling
+// those past its cap. A strand without a worker is skipped.
+func (m *Machine) returnWorkers() {
+	idleWorkers.Lock()
+	i := 0
+	for ; i < len(m.strands) && len(idleWorkers.w) < maxIdleWorkers; i++ {
+		if w := m.strands[i].w; w != nil {
+			idleWorkers.w = append(idleWorkers.w, w)
+		}
+		m.strands[i].w = nil
+	}
+	idleWorkers.Unlock()
+	for _, s := range m.strands[i:] {
+		if s.w != nil {
+			s.w.cancel()
+			s.w = nil
+		}
+	}
+}
+
+// abandonWorkers cleans up after a body panicked or called
+// runtime.Goexit. The worker that died and the workers parked mid-body
+// cannot be reused (unwinding a parked body safely is impossible), so they
+// are dropped; workers whose body never started or already returned are
+// returned.
+func (m *Machine) abandonWorkers() {
+	for _, s := range m.strands {
+		switch w := s.w; {
+		case w.body != nil:
+			w.s, w.body = nil, nil
+		case !w.done:
+			s.w = nil
+		}
+	}
+	m.returnWorkers()
 }
 
 // CanRunStepped reports whether this machine's HTM design point supports

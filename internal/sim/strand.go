@@ -42,9 +42,10 @@ func (st Stats) Sample() obs.Sample {
 }
 
 // Strand is one simulated hardware strand. All of its methods must be
-// called from the goroutine that Machine.Run started for it; the baton
-// discipline then guarantees mutual exclusion over all shared simulator
-// state without locks.
+// called from the body Machine.Run is running on it (on the pooled worker
+// coroutine the run lent to this strand); the baton discipline then
+// guarantees mutual exclusion over all shared simulator state without
+// locks.
 type Strand struct {
 	m   *Machine
 	id  int
@@ -53,13 +54,12 @@ type Strand struct {
 	clock  int64
 	parked bool
 
-	// Coroutine plumbing, owned by Machine.Run: yield suspends this
-	// strand's body and returns control to the driver loop; resume
-	// re-enters the body; cancel retires the coroutine once the body has
-	// returned.
-	yield  func(struct{}) bool
-	resume func() (struct{}, bool)
-	cancel func()
+	// Coroutine plumbing, owned by Machine.Run: w is the pooled worker
+	// lent to this strand for one Run call, and yield (set by the worker
+	// while it runs this strand's body) suspends the body and returns
+	// control to the driver loop.
+	w     *worker
+	yield func(struct{}) bool
 
 	// yieldLimit is the cached scheduling deadline, maintained by
 	// Machine.grant whenever this strand receives the baton: once clock
