@@ -29,7 +29,7 @@ func AblationRetryBudget(o Options) (*Figure, error) {
 		keyRange:  2048,
 		pctLookup: 96,
 		memWords:  1 << 22,
-		build:     rbtreeKV,
+		build:     rbtreeKV(),
 	}
 	var names []string
 	var cells []pointCell

@@ -4,13 +4,20 @@ import "testing"
 
 // fig2aCellAllocBudget is the allocation budget for one BenchmarkFig2aCell
 // iteration. The PR 8 hot-path round brought the cell from 7,616 allocs/op
-// down to ~1,360 (the Memory backing pool recycles the words/lineMeta
-// arrays, the dominant term; what remains is per-strand construction —
-// caches, TLBs, coroutines — plus workload compilation and JSON digests).
-// The budget pins that result with ~10% headroom: a change that quietly
-// reintroduces per-operation or per-attempt allocation on the cell path
-// fails here long before it is visible in wall-clock.
+// down to ~1,360; what remains is the small structs of machine
+// construction, workload compilation and JSON digests. The budget pins
+// that result with ~10% headroom: a change that quietly reintroduces
+// per-operation or per-attempt allocation on the cell path fails here long
+// before it is visible in wall-clock.
 const fig2aCellAllocBudget = 1500
+
+// fig2aCellByteBudget is the same cell's budget in bytes. Machines take
+// their large arrays — memory backings, L2, each strand's L1, TLBs and
+// branch table — from the free list Machine.Recycle refills, so a warm
+// cell allocates ~180 KB where it allocated 5.8 MB before the free list
+// (the L2 and the page-sized TLB indexes were rebuilt for every machine).
+// Any array that bypasses the free list costs more than the headroom.
+const fig2aCellByteBudget = 200 << 10
 
 // TestFig2aCellAllocBudget runs the cell benchmark through the testing
 // harness and fails if allocs/op regresses above the budget. It complements
@@ -37,6 +44,11 @@ func TestFig2aCellAllocBudget(t *testing.T) {
 		t.Errorf("fig2a cell allocates %d allocs/op, budget is %d — a hot-path allocation crept back in",
 			allocs, fig2aCellAllocBudget)
 	}
+	t.Logf("fig2a cell: %d B/op", res.AllocedBytesPerOp())
+	if bytes := res.AllocedBytesPerOp(); bytes > fig2aCellByteBudget {
+		t.Errorf("fig2a cell allocates %d B/op, budget is %d — a construction array bypasses the free list",
+			bytes, fig2aCellByteBudget)
+	}
 }
 
 // fleetCellAllocsPerRequest is the allocation budget per request of a tiny
@@ -49,6 +61,13 @@ func TestFig2aCellAllocBudget(t *testing.T) {
 // fails here; so does anything per request. Before the pool the cell made
 // ~30 allocs/request, and ~6 with the pool but per-batch service buffers.
 const fleetCellAllocsPerRequest = 0.3
+
+// fleetCellByteBudget is the same cell's budget in bytes per cell. The
+// shard machines' large arrays come from the free list, so what remains is
+// the per-shard and per-fleet latency recorders and window series, which
+// are observation state, not construction: ~280 KB per cell, down from
+// 1.7 MB before the free list.
+const fleetCellByteBudget = 320 << 10
 
 // TestFleetCellAllocBudget fails if a per-batch, per-leg or per-request
 // allocation creeps back into the fleet path.
@@ -74,5 +93,10 @@ func TestFleetCellAllocBudget(t *testing.T) {
 	if perReq > fleetCellAllocsPerRequest {
 		t.Errorf("fleet cell allocates %.2f allocs/request, budget is %.2f — a per-batch or per-leg allocation crept back in",
 			perReq, fleetCellAllocsPerRequest)
+	}
+	t.Logf("fleet cell: %d B/op", res.AllocedBytesPerOp())
+	if bytes := res.AllocedBytesPerOp(); bytes > fleetCellByteBudget {
+		t.Errorf("fleet cell allocates %d B/op, budget is %d — a shard machine's array bypasses the free list",
+			bytes, fleetCellByteBudget)
 	}
 }

@@ -46,7 +46,7 @@ type htmWorkload struct {
 func htmDesignWorkloads() []htmWorkload {
 	return []htmWorkload{
 		{name: "rbtree", keyRange: policyKeyRange, pctLookup: policyPctLookup,
-			memWords: policyMemWords, build: rbtreeKV},
+			memWords: policyMemWords, build: rbtreeKV()},
 		{name: "hash", keyRange: 256, pctLookup: 0,
 			memWords: 1 << 23, build: hashtableKV(1 << 17)},
 		// The rbtree under the adversarial marked-line-eviction profile:
@@ -55,7 +55,7 @@ func htmDesignWorkloads() []htmWorkload {
 		// up to its bound (the capacity half of the E23 tail pathology,
 		// now injectable on demand).
 		{name: "rbtree-evict", keyRange: policyKeyRange, pctLookup: policyPctLookup,
-			memWords: policyMemWords, build: rbtreeKV, faults: "evict"},
+			memWords: policyMemWords, build: rbtreeKV(), faults: "evict"},
 	}
 }
 

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"sync"
 
 	"rocktm/internal/core"
 	"rocktm/internal/hashtable"
@@ -214,18 +215,41 @@ func (t rbKV) NewSession(sys core.System, s *sim.Strand) kvSession {
 	return t.Tree.NewSession(sys, s)
 }
 
+// sharedKeys memoizes one builder's prepopulation keys: a figure's cells
+// share a key range, so the first cell to ask builds the slice and every
+// cell — on whichever runner goroutine — reads it without writing.
+func sharedKeys(gen func(keyRange int) []uint64) func(keyRange int) []uint64 {
+	var (
+		mu   sync.Mutex
+		n    int
+		keys []uint64
+	)
+	return func(keyRange int) []uint64 {
+		mu.Lock()
+		defer mu.Unlock()
+		if keys == nil || n != keyRange {
+			keys, n = gen(keyRange), keyRange
+		}
+		return keys
+	}
+}
+
 func hashtableKV(buckets int) func(m *sim.Machine, keyRange int) kvStructure {
+	keys := sharedKeys(workload.PrepopHalf)
 	return func(m *sim.Machine, keyRange int) kvStructure {
 		t := hashtable.New(m, buckets, keyRange+2*m.Config().Strands+64)
-		t.Prepopulate(m.Mem(), workload.PrepopHalf(keyRange), 1)
+		t.Prepopulate(m.Mem(), keys(keyRange), 1)
 		return htKV{t}
 	}
 }
 
-func rbtreeKV(m *sim.Machine, keyRange int) kvStructure {
-	t := rbtree.New(m, keyRange+2*m.Config().Strands+64)
-	t.Prepopulate(m.Mem(), workload.PrepopHalfShuffled(keyRange, 7), 1)
-	return rbKV{t}
+func rbtreeKV() func(m *sim.Machine, keyRange int) kvStructure {
+	keys := sharedKeys(func(keyRange int) []uint64 { return workload.PrepopHalfShuffled(keyRange, 7) })
+	return func(m *sim.Machine, keyRange int) kvStructure {
+		t := rbtree.New(m, keyRange+2*m.Config().Strands+64)
+		t.Prepopulate(m.Mem(), keys(keyRange), 1)
+		return rbKV{t}
+	}
 }
 
 // Fig1a reconstructs Figure 1(a): hash table, 2^17 buckets, 50% inserts /
@@ -271,7 +295,7 @@ func Fig2a(o Options) (*Figure, error) {
 		keyRange:  128,
 		pctLookup: 100,
 		memWords:  1 << 22,
-		build:     rbtreeKV,
+		build:     rbtreeKV(),
 	})
 }
 
@@ -283,6 +307,6 @@ func Fig2b(o Options) (*Figure, error) {
 		keyRange:  2048,
 		pctLookup: 96,
 		memWords:  1 << 22,
-		build:     rbtreeKV,
+		build:     rbtreeKV(),
 	})
 }

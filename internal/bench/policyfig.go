@@ -34,6 +34,9 @@ func policyMachineCfg(threads, memWords int, seed uint64, faults sim.FaultPlan) 
 	return cfg
 }
 
+// policyTree builds every policy cell's tree from one shared key slice.
+var policyTree = rbtreeKV()
+
 // runPolicyCell measures one (policy, fault profile, threads) cell: PhTM
 // over the SkySTM back end on the red-black-tree workload, with the named
 // retry policy driving the hardware attempts and the named fault profile
@@ -42,7 +45,7 @@ func runPolicyCell(o Options, polName, profile string, threads int) (Point, erro
 	cfg := policyMachineCfg(threads, policyMemWords, o.Seed, sim.FaultProfile(profile))
 	m := sim.New(cfg)
 	defer m.Recycle()
-	st := rbtreeKV(m, policyKeyRange)
+	st := policyTree(m, policyKeyRange)
 	pcfg := phtm.DefaultConfig()
 	sys := phtm.New(m, sky.New(m), pcfg)
 	sys.SetPolicy(policy.MustNew(polName, pcfg.Tuning()))

@@ -74,7 +74,7 @@ func TailFigure(o Options) (*Figure, error) {
 			keyRange:  2048,
 			pctLookup: 90,
 			memWords:  1 << 22,
-			build:     rbtreeKV,
+			build:     rbtreeKV(),
 		}},
 	}
 	fig := &Figure{

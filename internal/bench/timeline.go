@@ -73,7 +73,7 @@ func timelineStructures() []struct {
 			keyRange:  2048,
 			pctLookup: 90,
 			memWords:  1 << 22,
-			build:     rbtreeKV,
+			build:     rbtreeKV(),
 		}},
 	}
 }

@@ -2,6 +2,8 @@ package service
 
 import (
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 
 	"rocktm/internal/core"
@@ -232,4 +234,21 @@ func TestFleetConfigValidation(t *testing.T) {
 	if _, err := f.Run(LoadSpec{Requests: 1, PctLookup: 50, Keys: workload.Uniform(64), CrossPct: 101}); err == nil {
 		t.Error("CrossPct=101 accepted")
 	}
+}
+
+// Recycling a fleet twice is harmless, and a recycled fleet refuses to
+// run instead of computing on arrays its successors now own.
+func TestFleetRecycleIsIdempotentAndFinal(t *testing.T) {
+	f := testFleet(t, 2, nil, sim.FaultPlan{}, nil)
+	if _, err := f.Run(testLoad(50, 20)); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	f.Recycle()
+	f.Recycle()
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "recycled") {
+			t.Fatalf("Run on a recycled fleet: panic %v, want one naming the recycled machine", r)
+		}
+	}()
+	f.Run(testLoad(50, 20))
 }

@@ -264,9 +264,9 @@ func New(cfg Config) (*Fleet, error) {
 // Shards returns the fleet's shard count.
 func (f *Fleet) Shards() int { return len(f.shards) }
 
-// Recycle donates every shard machine's simulated-memory backing to the
-// process-wide pool (see sim.Machine.Recycle). Call only after the fleet's
-// last use; the shards' simulated memory must not be touched afterwards.
+// Recycle recycles every shard machine (see sim.Machine.Recycle), handing
+// their host arrays to the next fleet. Call it only after the fleet's last
+// use: a second Recycle is a no-op, and Run on a recycled fleet panics.
 func (f *Fleet) Recycle() {
 	for _, sh := range f.shards {
 		sh.m.Recycle()

@@ -18,9 +18,15 @@ const branchTableBits = 12
 
 func newBranchPredictor() *branchPredictor {
 	return &branchPredictor{
-		table: make([]uint8, 1<<branchTableBits),
+		table: take(&retired.branch, 1<<branchTableBits),
 		mask:  1<<branchTableBits - 1,
 	}
+}
+
+// release resets the counters and shelves the table.
+func (b *branchPredictor) release() {
+	release(&retired.branch, b.table)
+	b.table = nil
 }
 
 // predict records the outcome of the branch at pc and reports whether the

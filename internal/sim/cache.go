@@ -12,12 +12,15 @@ package sim
 // bit-identical to the original: the *first* invalid way by index wins,
 // then the least-recently-used unmarked way, then the least-recently-used
 // marked way (ages are unique monotonic ticks, so LRU ties cannot occur).
+//
+// Tags hold line+1, so an all-zero slot array is an empty cache: the slots
+// come from the retired free list and a recycled cache is reset by clear.
 // l1Slot is one L1 way: tag, transactional mark and LRU timestamp packed
 // into 16 bytes, so a whole 4-way set occupies a single 64-byte host cache
 // line — an access touches one line where the old parallel tag/age/marked
 // arrays touched three.
 type l1Slot struct {
-	tag    int32 // -1 = invalid
+	tag    int32 // line+1; 0 = invalid
 	marked bool
 	age    int64 // LRU timestamp (unique monotonic tick)
 }
@@ -31,16 +34,18 @@ type l1Cache struct {
 }
 
 func newL1(sets, ways int) *l1Cache {
-	c := &l1Cache{
+	return &l1Cache{
 		sets:    sets,
 		ways:    ways,
 		setMask: int32(sets - 1),
-		slots:   make([]l1Slot, sets*ways),
+		slots:   take(&retired.l1, sets*ways),
 	}
-	for i := range c.slots {
-		c.slots[i].tag = -1
-	}
-	return c
+}
+
+// release empties the cache and shelves its slots.
+func (c *l1Cache) release() {
+	release(&retired.l1, c.slots)
+	c.slots = nil
 }
 
 // setBase returns the first slot of line's set.
@@ -53,7 +58,7 @@ func (c *l1Cache) lookup(line int32) int {
 	base := c.setBase(line)
 	set := c.slots[base : base+c.ways]
 	for w := range set {
-		if set[w].tag == line {
+		if set[w].tag == line+1 {
 			return base + w
 		}
 	}
@@ -71,7 +76,7 @@ func (c *l1Cache) touch(line int32) int {
 	base := int(line&c.setMask) * c.ways
 	set := c.slots[base : base+c.ways]
 	for w := range set {
-		if set[w].tag == line {
+		if set[w].tag == line+1 {
 			set[w].age = c.tick
 			return base + w
 		}
@@ -93,7 +98,7 @@ func (c *l1Cache) fillVictim(line int32) (evicted int32, evictedMark bool, idx i
 	var firstInvalid, bestUnmarked, bestMarked = -1, -1, -1
 	for w := range set {
 		s := &set[w]
-		if s.tag == -1 {
+		if s.tag == 0 {
 			if firstInvalid == -1 {
 				firstInvalid = w
 			}
@@ -116,9 +121,9 @@ func (c *l1Cache) fillVictim(line int32) (evicted int32, evictedMark bool, idx i
 		}
 	}
 	v := &set[victim]
-	evicted = v.tag
+	evicted = v.tag - 1
 	evictedMark = victimMarked && evicted != -1
-	v.tag = line
+	v.tag = line + 1
 	v.age = c.tick
 	v.marked = false
 	return evicted, evictedMark, base + victim
@@ -138,7 +143,7 @@ func (c *l1Cache) access(line int32) (hit bool, evicted int32, evictedMark bool,
 func (c *l1Cache) invalidate(line int32) (bool, bool) {
 	if i := c.lookup(line); i >= 0 {
 		m := c.slots[i].marked
-		c.slots[i].tag = -1
+		c.slots[i].tag = 0
 		c.slots[i].marked = false
 		return true, m
 	}
@@ -163,7 +168,7 @@ func (c *l1Cache) markedCountInSet(line int32) int {
 	set := c.slots[base : base+c.ways]
 	n := 0
 	for w := range set {
-		if set[w].marked && set[w].tag != -1 {
+		if set[w].marked && set[w].tag != 0 {
 			n++
 		}
 	}
@@ -179,11 +184,12 @@ func (c *l1Cache) markedCountInSet(line int32) int {
 // Like the L1, set selection is a mask. The victim preference reproduces
 // the original scan exactly — note that it differs from the L1's: the
 // *last* invalid way by index wins (the old loop kept overwriting the
-// victim with each invalid way it passed), else the LRU way.
+// victim with each invalid way it passed), else the LRU way. Tags hold
+// line+1, as in the L1.
 // l2Slot packs one L2 way's tag and LRU timestamp (16 bytes), for the
 // same single-pass, cache-line-friendly layout as the L1.
 type l2Slot struct {
-	tag int32 // -1 = invalid
+	tag int32 // line+1; 0 = invalid
 	age int64
 }
 
@@ -196,16 +202,18 @@ type l2Cache struct {
 }
 
 func newL2(sets, ways int) *l2Cache {
-	c := &l2Cache{
+	return &l2Cache{
 		sets:    sets,
 		ways:    ways,
 		setMask: int32(sets - 1),
-		slots:   make([]l2Slot, sets*ways),
+		slots:   take(&retired.l2, sets*ways),
 	}
-	for i := range c.slots {
-		c.slots[i].tag = -1
-	}
-	return c
+}
+
+// release empties the cache and shelves its slots.
+func (c *l2Cache) release() {
+	release(&retired.l2, c.slots)
+	c.slots = nil
 }
 
 // access touches line, returning whether it hit and which line (if any) was
@@ -217,19 +225,19 @@ func (c *l2Cache) access(line int32) (hit bool, evicted int32) {
 	victim := 0
 	for w := range set {
 		s := &set[w]
-		if s.tag == line {
+		if s.tag == line+1 {
 			s.age = c.tick
 			return true, -1
 		}
-		if s.tag == -1 {
+		if s.tag == 0 {
 			victim = w // last invalid way wins, as in the original scan
-		} else if set[victim].tag != -1 && s.age < set[victim].age {
+		} else if set[victim].tag != 0 && s.age < set[victim].age {
 			victim = w
 		}
 	}
 	v := &set[victim]
-	evicted = v.tag
-	v.tag = line
+	evicted = v.tag - 1
+	v.tag = line + 1
 	v.age = c.tick
 	return false, evicted
 }

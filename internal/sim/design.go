@@ -174,7 +174,7 @@ func (m *Machine) doomRemote(v *Strand, reason uint32) {
 func (t *txnState) rollbackUndo(mem *Memory) int {
 	n := len(t.storeAddrs)
 	for i := n - 1; i >= 0; i-- {
-		mem.words[t.storeAddrs[i]] = t.storeVals[i]
+		mem.write(t.storeAddrs[i], t.storeVals[i])
 	}
 	t.storeAddrs = t.storeAddrs[:0]
 	t.storeVals = t.storeVals[:0]

@@ -70,6 +70,13 @@ func goldenConfig(c goldenCase) Config {
 // consumed), and a stride over simulated memory — into one digest.
 func goldenRun(c goldenCase) (maxClock int64, digest string) {
 	cfg := goldenConfig(c)
+	m := goldenMachine(cfg)
+	return m.MaxClock(), goldenFold(m, cfg)
+}
+
+// goldenMachine builds a machine from cfg and runs the identity workload
+// on it.
+func goldenMachine(cfg Config) *Machine {
 	m := New(cfg)
 	mem := m.Mem()
 	arena := mem.Alloc(goldenArenaPages*PageWords, PageWords)
@@ -80,8 +87,7 @@ func goldenRun(c goldenCase) (maxClock int64, digest string) {
 	m.Run(func(s *Strand) {
 		goldenBody(s, mem, arena, shared, codePage)
 	})
-
-	return m.MaxClock(), goldenFold(m, cfg)
+	return m
 }
 
 // goldenBody is the identity workload for one strand — every simulated

@@ -233,8 +233,9 @@ type Machine struct {
 	// changes, so the only operations are push and pop-min: handoffs are
 	// O(log strands) and the hot maybeYield check is a single compare
 	// against the running strand's cached yield deadline.
-	parked  []heapNode
-	running bool
+	parked   []heapNode
+	running  bool
+	recycled bool
 }
 
 // requirePow2 validates that a geometry parameter is a power of two — the
@@ -257,6 +258,15 @@ func nextPow2(v int) int {
 
 // New builds a machine. It panics on nonsensical configurations; machines
 // are always constructed from code, not external input.
+//
+// A machine's life is New → Run (any number of times) → Recycle. New takes
+// every large host array — memory backings, L2, and each strand's L1, TLBs
+// and branch table — from the process-wide free list that Recycle refills
+// (see retired), so in a warm process it allocates none of them and runs no
+// initialisation loop: a shelved array is already all zero, which is every
+// structure's empty state. Only a free-list miss allocates. The list is
+// capped at four machines' and MaxStrands strands' arrays per GOMAXPROCS
+// (retiredMachines, retiredStrands).
 func New(cfg Config) *Machine {
 	if cfg.Strands <= 0 || cfg.Strands > MaxStrands {
 		panic(fmt.Sprintf("sim: Strands must be in [1,%d], got %d", MaxStrands, cfg.Strands))
@@ -332,14 +342,35 @@ func (m *Machine) Config() Config { return m.cfg }
 // (Peek) outside timed runs.
 func (m *Machine) Mem() *Memory { return m.mem }
 
-// Recycle donates the machine's simulated-memory backing arrays to a
-// process-wide pool so the next machine's construction scrubs a prefix
-// instead of allocating and zeroing tens of megabytes from scratch. Call it
-// only after the machine's last use (including Peek-based validation):
-// afterwards the simulated memory reads as zero and must not be written.
-// Recycling is a host-side allocation strategy only — it never changes what
-// a simulation computes.
-func (m *Machine) Recycle() { m.mem.recycle() }
+// Recycle ends the machine's life: it zeroes the machine's host arrays —
+// scrubbing only the simulated pages written since New — and shelves them
+// on the process-wide free list for the next New. Call it after the
+// machine's last use, including Peek-based validation; clocks and
+// statistics stay readable, but Run and RunStepped panic and any memory,
+// cache or TLB access indexes an empty array and panics. Recycling twice is
+// a no-op. It is a host-side allocation strategy only and never changes
+// what a simulation computes.
+func (m *Machine) Recycle() {
+	if m.recycled {
+		return
+	}
+	m.recycled = true
+	m.mem.recycle()
+	m.l2.release()
+	for _, s := range m.strands {
+		s.release()
+	}
+}
+
+// checkRunnable rejects a Run on a recycled or already running machine.
+func (m *Machine) checkRunnable() {
+	if m.recycled {
+		panic("sim: Run on a recycled machine")
+	}
+	if m.running {
+		panic("sim: Run re-entered")
+	}
+}
 
 // Strand returns strand i for pre-run configuration (it must not be driven
 // outside Run).
@@ -409,9 +440,7 @@ func (m *Machine) PublishMetrics(reg *obs.Registry) {
 // dead worker and the workers parked mid-body are abandoned, never
 // reused.
 func (m *Machine) Run(body func(*Strand)) {
-	if m.running {
-		panic("sim: Run re-entered")
-	}
+	m.checkRunnable()
 	m.running = true
 	m.parked = m.parked[:0]
 	for _, s := range m.strands {
@@ -583,9 +612,7 @@ type StepFn func() bool
 // operations may run under this driver; arbitrary bodies stay on Run, the
 // general authoring surface.
 func (m *Machine) RunStepped(start func(*Strand) StepFn) {
-	if m.running {
-		panic("sim: Run re-entered")
-	}
+	m.checkRunnable()
 	m.running = true
 	m.parked = m.parked[:0]
 	for _, s := range m.strands {

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Word is the unit of simulated storage: a 64-bit value. Pointers within
 // simulated memory are stored as words holding the target Addr; Addr 0 plays
@@ -48,7 +45,10 @@ type pageMeta struct {
 	mapped   bool // address range handed out by the allocator
 	walkable bool // mapping present in the page tables (hardware-walkable)
 	writable bool // write permission established (first write fault taken)
-	gen      uint32
+	// dirty marks a page whose words or directory entries were written
+	// since the machine was built; recycle scrubs exactly these pages.
+	dirty bool
+	gen   uint32
 }
 
 // Memory is the shared simulated memory: a flat array of words plus the
@@ -56,36 +56,21 @@ type pageMeta struct {
 // machine's baton (exactly one strand executes at a time), so no locking is
 // required.
 //
-// The word array and the coherence directory are backed lazily: they only
-// grow (geometrically) to cover the high-water mark of the bump allocator,
-// never to the full configured size. Experiments routinely configure tens
-// of megabytes of simulated memory and touch a fraction of it, and zeroing
-// ~45 MB of backing store per simulated machine dominated the cost of
-// small experiment cells. Untouched simulated memory still reads as zero
-// (Peek bounds-checks), so this is invisible to simulated code.
+// The arrays span the whole configured size and come from the retired
+// free list (see retired): experiments configure tens of megabytes of
+// simulated memory and touch a fraction of it, so an array fresh from the
+// OS costs only the host pages the machine writes, and a recycled one only
+// the scrub of the pages its previous owner wrote.
 type Memory struct {
-	limit int    // configured capacity, in words (Alloc fails beyond this)
-	words []Word // grows lazily towards limit
+	limit int // configured capacity, in words (Alloc fails beyond this)
+	words []Word
 	lines []lineMeta
 	pages []pageMeta
 	next  Addr // bump allocator cursor
 }
 
-// memBacking is a retired Memory's backing store, cached process-wide for
-// the next Machine. dirty is the former len of words (the allocator's
-// high-water mark); everything beyond it was never written and is still
-// pristine zero from the original make, so a new owner only has to scrub
-// the dirty prefix instead of zeroing (and geometrically re-zeroing and
-// copying) a fresh array. Experiment sweeps build hundreds of short-lived
-// machines with near-identical footprints, and this recycling is what keeps
-// their construction cost at one memclr of the touched range.
-type memBacking struct {
-	words []Word
-	lines []lineMeta
-	dirty int
-}
-
-var backingPool sync.Pool
+// linesPerPage is the number of coherence-directory entries per page.
+const linesPerPage = PageWords / WordsPerLine
 
 func newMemory(words int) *Memory {
 	if words < PageWords {
@@ -93,84 +78,46 @@ func newMemory(words int) *Memory {
 	}
 	// Round up to whole pages.
 	words = (words + PageWords - 1) &^ (PageWords - 1)
-	m := &Memory{
+	return &Memory{
 		limit: words,
-		pages: make([]pageMeta, words/PageWords),
+		words: take(&retired.words, words),
+		lines: take(&retired.lines, words/WordsPerLine),
+		pages: take(&retired.pages, words/PageWords),
 		next:  WordsPerLine, // skip line 0 so Addr 0 stays "null"
 	}
-	if b, _ := backingPool.Get().(*memBacking); b != nil && b.dirty <= words {
-		// Scrubbing the dirty prefix costs at most what zeroing this
-		// machine's full configured size would; a backing dirtier than that
-		// (from a much larger experiment) is cheaper to drop than to scrub.
-		clear(b.words[:b.dirty])
-		clear(b.lines[:(b.dirty+WordsPerLine-1)/WordsPerLine])
-		n := cap(b.words)
-		if ln := cap(b.lines) * WordsPerLine; ln < n {
-			n = ln
-		}
-		if n > words {
-			n = words
-		}
-		n &^= PageWords - 1
-		if n >= PageWords {
-			m.words = b.words[:n]
-			m.lines = b.lines[:n/WordsPerLine]
-			return m
-		}
-	}
-	m.ensure(PageWords)
-	return m
 }
 
-// recycle surrenders the backing arrays to the process-wide pool. The Memory
-// must not be written afterwards; reads see zeros (the empty-backing bounds
-// checks treat everything as untouched).
-//
-// The dirty mark is the allocator's high-water mark, not the backing's
-// grown length: simulated stores, coherence-directory traffic and Pokes
-// are all confined to handed-out addresses (every write path bounds itself
-// to mapped pages below next), while geometric growth can leave the
-// backing up to twice that size — scrubbing only the truly written prefix
-// halves the next owner's memclr.
+// recycle scrubs the pages written since construction, zeroes the page
+// map and shelves the three arrays. The Memory is unusable afterwards:
+// every access indexes an empty array and panics.
 func (m *Memory) recycle() {
-	if len(m.words) == 0 {
-		return
+	for p := range m.pages {
+		if m.pages[p].dirty {
+			clear(m.words[p*PageWords : (p+1)*PageWords])
+			clear(m.lines[p*linesPerPage : (p+1)*linesPerPage])
+		}
 	}
-	dirty := (int(m.next) + WordsPerLine - 1) &^ (WordsPerLine - 1)
-	if dirty > len(m.words) {
-		dirty = len(m.words)
-	}
-	backingPool.Put(&memBacking{words: m.words, lines: m.lines, dirty: dirty})
-	m.words, m.lines = nil, nil
+	give(&retired.words, m.words)
+	give(&retired.lines, m.lines)
+	release(&retired.pages, m.pages)
+	m.words, m.lines, m.pages = nil, nil, nil
 }
 
-// ensure grows the word array and coherence directory to cover at least n
-// words (whole pages, geometric growth, capped at the configured size).
-func (m *Memory) ensure(n int) {
-	if n <= len(m.words) {
-		return
-	}
-	grown := len(m.words) * 2
-	if grown < n {
-		grown = n
-	}
-	if grown > m.limit {
-		grown = m.limit
-	}
-	grown = (grown + PageWords - 1) &^ (PageWords - 1)
-	words := make([]Word, grown)
-	copy(words, m.words)
-	m.words = words
-	lines := make([]lineMeta, grown/WordsPerLine)
-	copy(lines, m.lines)
-	m.lines = lines
+// write stores w at a and marks a's page dirty. Every simulated write to
+// a word goes through it, so recycle's scrub misses nothing.
+func (m *Memory) write(a Addr, w Word) {
+	m.pages[a>>PageShift].dirty = true
+	m.words[a] = w
+}
+
+// touchLine marks the page holding line dirty before its directory entry
+// is written.
+func (m *Memory) touchLine(line int32) {
+	m.pages[line>>(PageShift-LineShift)].dirty = true
 }
 
 // Size returns the number of words of simulated memory.
 func (m *Memory) Size() int { return m.limit }
-
-// PageCount returns the number of simulated pages.
-func (m *Memory) PageCount() int { return len(m.pages) }
 
 // Alloc hands out n words aligned to align words (align must be a power of
 // two; 0 or 1 means word alignment). The returned range is mapped, walkable
@@ -189,7 +136,6 @@ func (m *Memory) Alloc(n int, align int) Addr {
 		panic(fmt.Sprintf("sim: out of simulated memory (want %d words at %d, have %d)", n, a, m.limit))
 	}
 	m.next = a + Addr(n)
-	m.ensure(int(m.next))
 	for p := PageOf(a); p <= PageOf(a+Addr(n)-1); p++ {
 		m.pages[p].mapped = true
 		m.pages[p].walkable = true
@@ -218,23 +164,19 @@ func (m *Memory) Remap(a Addr, n int) {
 // Poke writes a word directly, bypassing cost accounting, caches and
 // coherence. It is intended for test setup and data-structure
 // prepopulation before a timed run starts.
-func (m *Memory) Poke(a Addr, w Word) {
-	m.ensure(int(a) + 1)
-	m.words[a] = w
-}
+func (m *Memory) Poke(a Addr, w Word) { m.write(a, w) }
 
 // Peek reads a word directly, bypassing cost accounting and caches. It is
-// intended for validation after a run completes. Words beyond the lazy
-// backing's high-water mark have never been written and read as zero.
-func (m *Memory) Peek(a Addr) Word {
-	if int(a) >= len(m.words) {
-		return 0
-	}
-	return m.words[a]
-}
+// intended for validation after a run completes.
+func (m *Memory) Peek(a Addr) Word { return m.words[a] }
 
 // PokeRange fills [a, a+len(ws)) directly.
 func (m *Memory) PokeRange(a Addr, ws []Word) {
-	m.ensure(int(a) + len(ws))
+	if len(ws) == 0 {
+		return
+	}
+	for p := PageOf(a); p <= PageOf(a+Addr(len(ws))-1); p++ {
+		m.pages[p].dirty = true
+	}
 	copy(m.words[a:int(a)+len(ws)], ws)
 }

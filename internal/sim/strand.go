@@ -140,7 +140,6 @@ func newStrand(m *Machine, id int) *Strand {
 		ntLine: -1,
 	}
 	s.mmu.init(m.cfg.MicroDTLB, m.cfg.MainDTLB, m.cfg.ITLB)
-	s.mmu.reserve(m.mem.PageCount())
 	s.flt = newFaultInjector(&m.cfg, id)
 	s.tx.fwd = newU32Map()
 	s.tx.lineSet = newU32Map()
@@ -148,6 +147,14 @@ func newStrand(m *Machine, id int) *Strand {
 		s.nextInterrupt = m.cfg.InterruptEvery
 	}
 	return s
+}
+
+// release empties the strand's L1, TLBs and predictor and shelves their
+// arrays (Machine.Recycle).
+func (s *Strand) release() {
+	s.l1.release()
+	s.mmu.release()
+	s.bp.release()
 }
 
 // ID returns the strand number, in [0, Strands).
@@ -381,6 +388,9 @@ func (s *Strand) fillMiss(line int32) (l1Hit bool, evictedMarked bool, idx int) 
 	if l2evicted != -1 && l2evicted != line {
 		s.backInvalidate(l2evicted)
 	}
+	// Every directory bit is set on a line some L1 holds, and every line
+	// enters an L1 here, so this mark covers all directory writes.
+	s.m.mem.touchLine(line)
 	s.m.mem.lines[line].present |= s.bit
 	return false, evMark, idx
 }
@@ -485,7 +495,7 @@ func (s *Strand) assertNoTxn(op string) {
 // it fires, the caller replicates the slow path's only state changes: the
 // L1 LRU tick, the age stamp, and the hit latency.
 func (s *Strand) ntHit(line int32, p int32) bool {
-	return line == s.ntLine && s.l1.slots[s.ntIdx].tag == line &&
+	return line == s.ntLine && s.l1.slots[s.ntIdx].tag == line+1 &&
 		s.m.mem.pages[p].gen == s.ntGen
 }
 
@@ -540,14 +550,14 @@ func (s *Strand) Store(a Addr, w Word) {
 	if s.ntHit(line, p) && s.m.mem.pages[p].writable {
 		s.ntTouch()
 		s.storeInvalidate(line, &s.m.mem.lines[line])
-		s.m.mem.words[a] = w
+		s.m.mem.write(a, w)
 		return
 	}
 	s.translateStore(a)
 	_, _, idx := s.fill(line)
 	s.storeInvalidate(line, &s.m.mem.lines[line])
 	s.ntLine, s.ntIdx, s.ntGen = line, int32(idx), s.m.mem.pages[p].gen
-	s.m.mem.words[a] = w
+	s.m.mem.write(a, w)
 }
 
 // CAS performs an atomic compare-and-swap, returning the previous value and
@@ -577,7 +587,7 @@ func (s *Strand) CAS(a Addr, old, new Word) (Word, bool) {
 	if cur != old {
 		return cur, false
 	}
-	s.m.mem.words[a] = new
+	s.m.mem.write(a, new)
 	return cur, true
 }
 
@@ -601,7 +611,7 @@ func (s *Strand) Add(a Addr, delta Word) Word {
 		s.storeInvalidate(line, &s.m.mem.lines[line])
 		s.ntLine, s.ntIdx, s.ntGen = line, int32(idx), s.m.mem.pages[p].gen
 	}
-	s.m.mem.words[a] += delta
+	s.m.mem.write(a, s.m.mem.words[a]+delta)
 	return s.m.mem.words[a]
 }
 

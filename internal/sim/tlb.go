@@ -2,10 +2,10 @@ package sim
 
 import "math/bits"
 
-// tlbEntry is one TLB slot. The fields a probe touches (page, gen) share a
+// tlbEntry is one TLB slot. The fields a probe touches (tag, gen) share a
 // cache line with the intrusive LRU links so a hit costs one indexed load.
 type tlbEntry struct {
-	page int32  // -1 = free
+	tag  int32  // page+1; 0 = free
 	gen  uint32 // page generation at fill time
 	next int32  // next-more-recently-used slot (-1 at head)
 	prev int32  // next-less-recently-used slot (-1 at tail)
@@ -25,18 +25,25 @@ type tlbEntry struct {
 //     stamped a monotonic tick into age[slot] on every touch and evicted
 //     the minimum-age slot; ticks were unique, so min-age is precisely the
 //     list tail;
-//   - a free-slot bitmap reproduces the old "first invalid slot by index"
-//     victim preference (find-first-set = lowest index), which matters
+//   - an occupancy bitmap reproduces the old "first invalid slot by index"
+//     victim preference (lowest clear bit = lowest index), which matters
 //     because stale-generation probes punch holes at arbitrary indexes.
+//
+// Entry tags, index values and occupancy bits all encode "empty" as 0, so
+// the arrays come straight from the retired free list and a recycled TLB
+// is reset by clear.
 type tlb struct {
 	n      int
 	ent    []tlbEntry
 	head   int32    // most recently used slot, -1 when empty
 	tail   int32    // least recently used slot, -1 when empty
-	slotOf []int32  // page -> slot+1 (0 = not resident); grown on demand
-	free   []uint64 // bitmap of free slots
+	slotOf []int32  // page -> slot+1 (0 = not resident); grown by fill
+	used   []uint64 // bitmap of occupied slots
 	nfree  int
 }
+
+// minIndex is the shortest page index a TLB grows.
+const minIndex = 64
 
 func newTLB(entries int) *tlb {
 	t := &tlb{}
@@ -46,43 +53,40 @@ func newTLB(entries int) *tlb {
 
 func (t *tlb) init(entries int) {
 	t.n = entries
-	t.ent = make([]tlbEntry, entries)
+	t.ent = take(&retired.tlb, entries)
+	t.used = take(&retired.used, (entries+63)/64)
 	t.head = -1
 	t.tail = -1
-	t.free = make([]uint64, (entries+63)/64)
-	for i := range t.ent {
-		t.ent[i].page = -1
-	}
-	t.setAllFree()
+	t.nfree = entries
 }
 
-// reserve pre-sizes the page→slot index so the hot path never grows it.
-func (t *tlb) reserve(pages int) {
-	if pages > len(t.slotOf) {
-		grown := make([]int32, pages)
-		copy(grown, t.slotOf)
-		t.slotOf = grown
-	}
+// release empties the TLB and shelves its arrays.
+func (t *tlb) release() {
+	release(&retired.tlb, t.ent)
+	release(&retired.used, t.used)
+	release(&retired.index, t.slotOf)
+	t.ent, t.used, t.slotOf = nil, nil, nil
 }
 
-func (t *tlb) setAllFree() {
-	for i := range t.free {
-		t.free[i] = ^uint64(0)
-	}
-	// Mask off the bits beyond the last slot so firstFree never returns one.
-	if rem := t.n % 64; rem != 0 {
-		t.free[len(t.free)-1] = (1 << uint(rem)) - 1
-	}
-	t.nfree = t.n
+// grow widens the page index to cover page, doubling it at least, so a
+// strand's index ends sized to the pages it touched rather than to the
+// machine's configured memory.
+func (t *tlb) grow(page int32) {
+	n := max(2*len(t.slotOf), nextPow2(int(page)+1), minIndex)
+	grown := take(&retired.index, n)
+	copy(grown, t.slotOf)
+	release(&retired.index, t.slotOf)
+	t.slotOf = grown
 }
 
 // firstFree returns the lowest-index free slot; the caller guarantees one
 // exists. This is the old implementation's "first pageOf[i] == -1 wins"
-// victim preference.
+// victim preference. Bits past the last slot read as free, but a real free
+// slot has a lower index, so the scan never reaches them.
 func (t *tlb) firstFree() int32 {
-	for w, word := range t.free {
-		if word != 0 {
-			return int32(w*64 + bits.TrailingZeros64(word))
+	for w, word := range t.used {
+		if word != ^uint64(0) {
+			return int32(w*64 + bits.TrailingZeros64(^word))
 		}
 	}
 	panic("sim: tlb.firstFree on full TLB")
@@ -143,10 +147,10 @@ func (t *tlb) slot(page int32) int32 {
 
 // drop frees the slot holding page (stale generation or flush).
 func (t *tlb) drop(s int32) {
-	t.slotOf[t.ent[s].page] = 0
-	t.ent[s].page = -1
+	t.slotOf[t.ent[s].tag-1] = 0
+	t.ent[s].tag = 0
 	t.unlink(s)
-	t.free[s/64] |= 1 << uint(s%64)
+	t.used[s/64] &^= 1 << uint(s%64)
 	t.nfree++
 }
 
@@ -168,11 +172,11 @@ func (t *tlb) evict(page int32) {
 func (t *tlb) lookup(page int32, gen uint32) bool {
 	if h := t.head; h >= 0 {
 		e := &t.ent[h]
-		if e.page == page && e.gen == gen {
+		if e.tag == page+1 && e.gen == gen {
 			return true
 		}
 		if s := e.prev; s >= 0 {
-			if e2 := &t.ent[s]; e2.page == page && e2.gen == gen {
+			if e2 := &t.ent[s]; e2.tag == page+1 && e2.gen == gen {
 				t.moveToFront(s)
 				return true
 			}
@@ -211,17 +215,17 @@ func (t *tlb) fill(page int32, gen uint32) {
 	var victim int32
 	if t.nfree > 0 {
 		victim = t.firstFree()
-		t.free[victim/64] &^= 1 << uint(victim%64)
+		t.used[victim/64] |= 1 << uint(victim%64)
 		t.nfree--
 	} else {
 		victim = t.tail
-		t.slotOf[t.ent[victim].page] = 0
+		t.slotOf[t.ent[victim].tag-1] = 0
 		t.unlink(victim)
 	}
 	if int(page) >= len(t.slotOf) {
-		t.reserve(int(page) + 1)
+		t.grow(page)
 	}
-	t.ent[victim].page = page
+	t.ent[victim].tag = page + 1
 	t.ent[victim].gen = gen
 	t.slotOf[page] = victim + 1
 	t.pushMRU(victim)
@@ -230,11 +234,12 @@ func (t *tlb) fill(page int32, gen uint32) {
 // flush drops every entry (used on simulated context switches).
 func (t *tlb) flush() {
 	for s := t.head; s >= 0; s = t.ent[s].prev {
-		t.slotOf[t.ent[s].page] = 0
-		t.ent[s].page = -1
+		t.slotOf[t.ent[s].tag-1] = 0
+		t.ent[s].tag = 0
 	}
 	t.head, t.tail = -1, -1
-	t.setAllFree()
+	clear(t.used)
+	t.nfree = t.n
 }
 
 // mmu bundles a strand's translation state: a small micro-DTLB backed by a
@@ -258,10 +263,8 @@ func (u *mmu) init(microEntries, mainEntries, itlbEntries int) {
 	u.itlb.init(itlbEntries)
 }
 
-// reserve pre-sizes every TLB's page index for a machine with the given
-// page count, keeping slotOf growth off the hot path.
-func (u *mmu) reserve(pages int) {
-	u.micro.reserve(pages)
-	u.main.reserve(pages)
-	u.itlb.reserve(pages)
+func (u *mmu) release() {
+	u.micro.release()
+	u.main.release()
+	u.itlb.release()
 }

@@ -236,7 +236,7 @@ func (s *Strand) TxLoad(a Addr) (w Word, ok bool) {
 	// state the slow path would touch is the L1 LRU tick, the age stamp
 	// and the hit latency — replicated here exactly.
 	if line == t.lastLine && len(t.storeAddrs) == 0 &&
-		s.l1.slots[t.lastIdx].tag == line &&
+		s.l1.slots[t.lastIdx].tag == line+1 &&
 		s.m.mem.pages[p].gen == t.lastGen {
 		c := s.l1
 		c.tick++
@@ -457,7 +457,7 @@ func (s *Strand) TxStore(a Addr, w Word) bool {
 		s.clock += s.m.cfg.Costs.LogWrite
 		t.storeAddrs = append(t.storeAddrs, a)
 		t.storeVals = append(t.storeVals, s.m.mem.words[a])
-		s.m.mem.words[a] = w
+		s.m.mem.write(a, w)
 	} else {
 		t.storeAddrs = append(t.storeAddrs, a)
 		t.storeVals = append(t.storeVals, w)
@@ -619,7 +619,7 @@ func (s *Strand) TxCommit() bool {
 		for i, a := range t.storeAddrs {
 			line := LineOf(a)
 			s.storeInvalidate(line, &s.m.mem.lines[line])
-			s.m.mem.words[a] = t.storeVals[i]
+			s.m.mem.write(a, t.storeVals[i])
 		}
 	}
 	for _, line := range t.marked {
