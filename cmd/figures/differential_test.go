@@ -36,7 +36,7 @@ func renderCatalogue(t *testing.T, sched string) map[string][]byte {
 	return out
 }
 
-// Differential-driver golden test: the continuation driver and the legacy
+// Differential-driver golden test: the continuation driver and the general
 // coroutine driver must render byte-identical output for every experiment
 // in the -exp all catalogue. This is the figure-level counterpart of
 // internal/sim's TestGoldenStepDriverIdentity — it catches any workload or

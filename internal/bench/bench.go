@@ -78,7 +78,9 @@ type Options struct {
 	// SchedStep (the default) runs them on the continuation driver
 	// (sim.Machine.RunStepped, no coroutine handoffs) whenever the cell's
 	// machine design point and synchronization system support it;
-	// SchedCoroutine forces the legacy goroutine driver everywhere. The
+	// SchedCoroutine forces the general coroutine driver (sim.Machine.Run)
+	// everywhere; cells the continuation driver cannot run (fleet cells,
+	// committer-wins and timestamp design points) always use it. The
 	// choice cannot change results — both drivers produce byte-identical
 	// figures (pinned by the differential golden test) — so it deliberately
 	// stays out of cell cache keys. The empty value defers to the

@@ -8,13 +8,8 @@ package hashtable
 import (
 	"rocktm/internal/alloc"
 	"rocktm/internal/core"
-	"rocktm/internal/rock"
 	"rocktm/internal/sim"
-	"rocktm/internal/stm/sky"
-	"rocktm/internal/stm/tl2"
 )
-
-//go:generate go run rocktm/cmd/ctxgen
 
 // Node layout (line-aligned, one node per cache line):
 const (
@@ -83,10 +78,10 @@ func (t *Table) Lookup(c core.Ctx, key uint64) (sim.Word, bool) {
 	}
 }
 
-// Insert adds key→val. The transactional part expects a pre-allocated,
-// pre-initialized node; use the InsertOp wrapper for the full
-// allocate-execute-reclaim cycle.
-func (t *Table) insert(c core.Ctx, key uint64, node sim.Addr) bool {
+// InsertNode links a prepared node (AllocNode) under key inside the caller's
+// atomic context, returning false if the key already exists. Use InsertOp
+// for the full allocate-execute-reclaim cycle.
+func (t *Table) InsertNode(c core.Ctx, key uint64, node sim.Addr) bool {
 	b := t.bucketAddr(key)
 	head := c.Load(b)
 	for p := head; ; {
@@ -107,8 +102,10 @@ func (t *Table) insert(c core.Ctx, key uint64, node sim.Addr) bool {
 	return true
 }
 
-// delete unlinks key's node, returning its address (0 if absent).
-func (t *Table) delete(c core.Ctx, key uint64) sim.Addr {
+// DeleteNode unlinks key's node inside the caller's atomic context,
+// returning its address (0 if absent); the caller reclaims it after
+// committing.
+func (t *Table) DeleteNode(c core.Ctx, key uint64) sim.Addr {
 	b := t.bucketAddr(key)
 	prev := b
 	prevIsBucket := true
@@ -136,75 +133,6 @@ func (t *Table) delete(c core.Ctx, key uint64) sim.Addr {
 	}
 }
 
-// The xxxCtx dispatchers route one operation to the devirtualized kernel
-// copy for c's concrete type (specialized_gen.go, maintained by
-// cmd/ctxgen): one type test per transaction body buys direct, inlinable
-// Load/Store/Branch calls on the chain walk. Every case performs the
-// identical simulated operations — the golden cycle-identity tests pin it.
-
-func (t *Table) lookupCtx(c core.Ctx, key uint64) (sim.Word, bool) {
-	switch cc := c.(type) {
-	case rock.Ctx:
-		return t.lookupRock(cc, key)
-	case rock.StepCtx:
-		return t.lookupRockStep(cc, key)
-	case *sky.HW:
-		return t.lookupSkyHW(cc, key)
-	case *tl2.Txn:
-		return t.lookupTL2(cc, key)
-	case *sky.Txn:
-		return t.lookupSky(cc, key)
-	case core.Raw:
-		return t.lookupRaw(cc, key)
-	case core.StepRaw:
-		return t.lookupRawStep(cc, key)
-	default:
-		return t.Lookup(c, key)
-	}
-}
-
-func (t *Table) insertCtx(c core.Ctx, key uint64, node sim.Addr) bool {
-	switch cc := c.(type) {
-	case rock.Ctx:
-		return t.insertRock(cc, key, node)
-	case rock.StepCtx:
-		return t.insertRockStep(cc, key, node)
-	case *sky.HW:
-		return t.insertSkyHW(cc, key, node)
-	case *tl2.Txn:
-		return t.insertTL2(cc, key, node)
-	case *sky.Txn:
-		return t.insertSky(cc, key, node)
-	case core.Raw:
-		return t.insertRaw(cc, key, node)
-	case core.StepRaw:
-		return t.insertRawStep(cc, key, node)
-	default:
-		return t.insert(c, key, node)
-	}
-}
-
-func (t *Table) deleteCtx(c core.Ctx, key uint64) sim.Addr {
-	switch cc := c.(type) {
-	case rock.Ctx:
-		return t.deleteRock(cc, key)
-	case rock.StepCtx:
-		return t.deleteRockStep(cc, key)
-	case *sky.HW:
-		return t.deleteSkyHW(cc, key)
-	case *tl2.Txn:
-		return t.deleteTL2(cc, key)
-	case *sky.Txn:
-		return t.deleteSky(cc, key)
-	case core.Raw:
-		return t.deleteRaw(cc, key)
-	case core.StepRaw:
-		return t.deleteRawStep(cc, key)
-	default:
-		return t.delete(c, key)
-	}
-}
-
 // InsertOp performs a complete insert of key→val under system sys:
 // allocate and initialize the node outside the transaction, link it inside,
 // reclaim it if the key turned out to be present. It reports whether the
@@ -215,7 +143,7 @@ func (t *Table) InsertOp(sys core.System, s *sim.Strand, key uint64, val sim.Wor
 	s.Store(node+fVal, val)
 	inserted := false
 	sys.Atomic(s, func(c core.Ctx) {
-		inserted = t.insertCtx(c, key, node)
+		inserted = t.InsertNode(c, key, node)
 	})
 	if !inserted {
 		t.pool.Put(s, node)
@@ -229,7 +157,7 @@ func (t *Table) InsertOp(sys core.System, s *sim.Strand, key uint64, val sim.Wor
 func (t *Table) DeleteOp(sys core.System, s *sim.Strand, key uint64) bool {
 	var removed sim.Addr
 	sys.Atomic(s, func(c core.Ctx) {
-		removed = t.deleteCtx(c, key)
+		removed = t.DeleteNode(c, key)
 	})
 	if removed != 0 {
 		t.pool.Put(s, removed)
@@ -243,7 +171,7 @@ func (t *Table) LookupOp(sys core.System, s *sim.Strand, key uint64) (sim.Word, 
 	var v sim.Word
 	var ok bool
 	sys.AtomicRO(s, func(c core.Ctx) {
-		v, ok = t.lookupCtx(c, key)
+		v, ok = t.Lookup(c, key)
 	})
 	return v, ok
 }
@@ -277,9 +205,9 @@ type Session struct {
 // NewSession builds the reusable operation context for strand s under sys.
 func (t *Table) NewSession(sys core.System, s *sim.Strand) *Session {
 	ss := &Session{t: t, sys: sys, s: s}
-	ss.lookupFn = func(c core.Ctx) { ss.v, ss.ok = ss.t.lookupCtx(c, ss.key) }
-	ss.insertFn = func(c core.Ctx) { ss.inserted = ss.t.insertCtx(c, ss.key, ss.node) }
-	ss.deleteFn = func(c core.Ctx) { ss.removed = ss.t.deleteCtx(c, ss.key) }
+	ss.lookupFn = func(c core.Ctx) { ss.v, ss.ok = ss.t.Lookup(c, ss.key) }
+	ss.insertFn = func(c core.Ctx) { ss.inserted = ss.t.InsertNode(c, ss.key, ss.node) }
+	ss.deleteFn = func(c core.Ctx) { ss.removed = ss.t.DeleteNode(c, ss.key) }
 	return ss
 }
 
@@ -354,7 +282,8 @@ func (t *Table) ContainsDirect(mem *sim.Memory, key uint64) bool {
 	return false
 }
 
-// ---- Prepared-node interface (see rbtree's equivalent) ----
+// ---- Prepared-node interface (see rbtree's equivalent; InsertNode and
+// DeleteNode above run inside it) ----
 
 // AllocNode takes a node from the pool and initializes it outside any
 // transaction.
@@ -363,17 +292,6 @@ func (t *Table) AllocNode(s *sim.Strand, key uint64, val sim.Word) sim.Addr {
 	s.Store(node+fKey, key)
 	s.Store(node+fVal, val)
 	return node
-}
-
-// InsertNode links a prepared node inside the caller's atomic context.
-func (t *Table) InsertNode(c core.Ctx, key uint64, node sim.Addr) bool {
-	return t.insertCtx(c, key, node)
-}
-
-// DeleteNode unlinks key inside the caller's atomic context, returning the
-// freed node (0 if absent).
-func (t *Table) DeleteNode(c core.Ctx, key uint64) sim.Addr {
-	return t.deleteCtx(c, key)
 }
 
 // FreeNode returns a node to the pool (outside any transaction).

@@ -10,13 +10,8 @@ package rbtree
 import (
 	"rocktm/internal/alloc"
 	"rocktm/internal/core"
-	"rocktm/internal/rock"
 	"rocktm/internal/sim"
-	"rocktm/internal/stm/sky"
-	"rocktm/internal/stm/tl2"
 )
-
-//go:generate go run rocktm/cmd/ctxgen
 
 // Node layout (one cache line per node).
 const (
@@ -136,9 +131,10 @@ func (t *Tree) rotateRight(c core.Ctx, x sim.Word) {
 	c.Store(sim.Addr(x)+fParent, y)
 }
 
-// insert links a pre-initialized node (left/right nil, red) under key,
-// returning false if the key already exists (nothing modified).
-func (t *Tree) insert(c core.Ctx, key uint64, node sim.Addr) bool {
+// InsertNode links a prepared node (AllocNode: left/right nil, red) under
+// key inside the caller's atomic context, returning false if the key
+// already exists (nothing modified).
+func (t *Tree) InsertNode(c core.Ctx, key uint64, node sim.Addr) bool {
 	var y sim.Word
 	yLeft := false
 	x := c.Load(t.rootA)
@@ -231,11 +227,12 @@ func (t *Tree) insertFixup(c core.Ctx, z sim.Word) {
 	setColor(c, root, false)
 }
 
-// delete unlinks key's node, returning the address of the node whose
-// storage became free (0 if the key is absent). The classic copy-out
+// DeleteNode unlinks key's node inside the caller's atomic context,
+// returning the address of the node whose storage became free (0 if the key
+// is absent); the caller reclaims it after committing. The classic copy-out
 // deletion is used: when the doomed node has two children its successor's
 // key and value are copied in and the successor is spliced out.
-func (t *Tree) delete(c core.Ctx, key uint64) sim.Addr {
+func (t *Tree) DeleteNode(c core.Ctx, key uint64) sim.Addr {
 	z := c.Load(t.rootA)
 	for {
 		c.Branch(pcWalkNil, z != 0, true)
@@ -383,76 +380,6 @@ func (t *Tree) deleteFixup(c core.Ctx, x, xp sim.Word) {
 	}
 }
 
-// The xxxCtx dispatchers route one operation to the devirtualized kernel
-// copy for c's concrete type (specialized_gen.go, maintained by
-// cmd/ctxgen). The type switch costs one type test per transaction body;
-// in exchange the whole walk runs on direct, inlinable Load/Store/Branch
-// calls instead of per-access interface dispatch. Every case performs the
-// identical simulated operations — the golden cycle-identity tests pin it.
-
-func (t *Tree) lookupCtx(c core.Ctx, key uint64) (sim.Word, bool) {
-	switch cc := c.(type) {
-	case rock.Ctx:
-		return t.lookupRock(cc, key)
-	case rock.StepCtx:
-		return t.lookupRockStep(cc, key)
-	case *sky.HW:
-		return t.lookupSkyHW(cc, key)
-	case *tl2.Txn:
-		return t.lookupTL2(cc, key)
-	case *sky.Txn:
-		return t.lookupSky(cc, key)
-	case core.Raw:
-		return t.lookupRaw(cc, key)
-	case core.StepRaw:
-		return t.lookupRawStep(cc, key)
-	default:
-		return t.Lookup(c, key)
-	}
-}
-
-func (t *Tree) insertCtx(c core.Ctx, key uint64, node sim.Addr) bool {
-	switch cc := c.(type) {
-	case rock.Ctx:
-		return t.insertRock(cc, key, node)
-	case rock.StepCtx:
-		return t.insertRockStep(cc, key, node)
-	case *sky.HW:
-		return t.insertSkyHW(cc, key, node)
-	case *tl2.Txn:
-		return t.insertTL2(cc, key, node)
-	case *sky.Txn:
-		return t.insertSky(cc, key, node)
-	case core.Raw:
-		return t.insertRaw(cc, key, node)
-	case core.StepRaw:
-		return t.insertRawStep(cc, key, node)
-	default:
-		return t.insert(c, key, node)
-	}
-}
-
-func (t *Tree) deleteCtx(c core.Ctx, key uint64) sim.Addr {
-	switch cc := c.(type) {
-	case rock.Ctx:
-		return t.deleteRock(cc, key)
-	case rock.StepCtx:
-		return t.deleteRockStep(cc, key)
-	case *sky.HW:
-		return t.deleteSkyHW(cc, key)
-	case *tl2.Txn:
-		return t.deleteTL2(cc, key)
-	case *sky.Txn:
-		return t.deleteSky(cc, key)
-	case core.Raw:
-		return t.deleteRaw(cc, key)
-	case core.StepRaw:
-		return t.deleteRawStep(cc, key)
-	default:
-		return t.delete(c, key)
-	}
-}
-
 // InsertOp performs a complete insert under system sys (allocate outside,
 // link inside, reclaim on unsuccessful insert).
 func (t *Tree) InsertOp(sys core.System, s *sim.Strand, key uint64, val sim.Word) bool {
@@ -464,7 +391,7 @@ func (t *Tree) InsertOp(sys core.System, s *sim.Strand, key uint64, val sim.Word
 	s.Store(node+fColor, 1)
 	inserted := false
 	sys.Atomic(s, func(c core.Ctx) {
-		inserted = t.insertCtx(c, key, node)
+		inserted = t.InsertNode(c, key, node)
 	})
 	if !inserted {
 		t.pool.Put(s, node)
@@ -476,7 +403,7 @@ func (t *Tree) InsertOp(sys core.System, s *sim.Strand, key uint64, val sim.Word
 func (t *Tree) DeleteOp(sys core.System, s *sim.Strand, key uint64) bool {
 	var removed sim.Addr
 	sys.Atomic(s, func(c core.Ctx) {
-		removed = t.deleteCtx(c, key)
+		removed = t.DeleteNode(c, key)
 	})
 	if removed != 0 {
 		t.pool.Put(s, removed)
@@ -490,7 +417,7 @@ func (t *Tree) LookupOp(sys core.System, s *sim.Strand, key uint64) (sim.Word, b
 	var v sim.Word
 	var ok bool
 	sys.AtomicRO(s, func(c core.Ctx) {
-		v, ok = t.lookupCtx(c, key)
+		v, ok = t.Lookup(c, key)
 	})
 	return v, ok
 }
@@ -525,9 +452,9 @@ type Session struct {
 // NewSession builds the reusable operation context for strand s under sys.
 func (t *Tree) NewSession(sys core.System, s *sim.Strand) *Session {
 	ss := &Session{t: t, sys: sys, s: s}
-	ss.lookupFn = func(c core.Ctx) { ss.v, ss.ok = ss.t.lookupCtx(c, ss.key) }
-	ss.insertFn = func(c core.Ctx) { ss.inserted = ss.t.insertCtx(c, ss.key, ss.node) }
-	ss.deleteFn = func(c core.Ctx) { ss.removed = ss.t.deleteCtx(c, ss.key) }
+	ss.lookupFn = func(c core.Ctx) { ss.v, ss.ok = ss.t.Lookup(c, ss.key) }
+	ss.insertFn = func(c core.Ctx) { ss.inserted = ss.t.InsertNode(c, ss.key, ss.node) }
+	ss.deleteFn = func(c core.Ctx) { ss.removed = ss.t.DeleteNode(c, ss.key) }
 	return ss
 }
 
@@ -578,7 +505,7 @@ func (t *Tree) Prepopulate(mem *sim.Memory, keys []uint64, val sim.Word) {
 		mem.Poke(node+fLeft, 0)
 		mem.Poke(node+fRight, 0)
 		mem.Poke(node+fColor, 1)
-		if !t.insert(c, key, node) {
+		if !t.InsertNode(c, key, node) {
 			panic("rbtree: duplicate key in prepopulation")
 		}
 	}
@@ -592,12 +519,12 @@ func (t *Tree) InsertDirect(mem *sim.Memory, key uint64, val sim.Word) bool {
 	mem.Poke(node+fKey, key)
 	mem.Poke(node+fVal, val)
 	mem.Poke(node+fColor, 1)
-	return t.insert(c, key, node)
+	return t.InsertNode(c, key, node)
 }
 
 // DeleteDirect deletes with no cycle accounting (validation helper).
 func (t *Tree) DeleteDirect(mem *sim.Memory, key uint64) bool {
-	return t.delete(core.Setup{Mem: mem}, key) != 0
+	return t.DeleteNode(core.Setup{Mem: mem}, key) != 0
 }
 
 // LookupDirect looks up with no cycle accounting (validation helper).
@@ -664,7 +591,8 @@ func (t *Tree) CheckInvariants(mem *sim.Memory) int {
 
 // ---- Prepared-node interface (for callers that manage the allocate /
 // execute / reclaim cycle themselves, e.g. the Java-collection facades
-// whose atomic section is a monitor body) ----
+// whose atomic section is a monitor body; InsertNode and DeleteNode above
+// run inside it) ----
 
 // AllocNode takes a node from the pool and initializes it outside any
 // transaction.
@@ -676,18 +604,6 @@ func (t *Tree) AllocNode(s *sim.Strand, key uint64, val sim.Word) sim.Addr {
 	s.Store(node+fRight, 0)
 	s.Store(node+fColor, 1)
 	return node
-}
-
-// InsertNode links a prepared node under key inside the caller's atomic
-// context, reporting whether the key was absent.
-func (t *Tree) InsertNode(c core.Ctx, key uint64, node sim.Addr) bool {
-	return t.insertCtx(c, key, node)
-}
-
-// DeleteNode unlinks key inside the caller's atomic context, returning the
-// freed node (0 if absent); the caller reclaims it after committing.
-func (t *Tree) DeleteNode(c core.Ctx, key uint64) sim.Addr {
-	return t.deleteCtx(c, key)
 }
 
 // FreeNode returns a node to the pool (outside any transaction).
