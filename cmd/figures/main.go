@@ -20,7 +20,7 @@
 //	figures -exp tail -timeline w.json    # window series of any experiment
 //	figures -timeline-window 16384   # window width in simulated cycles
 //	figures -parallel 8              # worker-pool size (0 = GOMAXPROCS)
-//	figures -sched coroutine         # general coroutine strand driver for every cell
+//	figures -sched coroutine         # coroutine strand driver for every kv cell
 //	figures -no-cache                # recompute every cell
 //	figures -cache-dir /tmp/rc       # result cache location
 //	figures -progress                # per-cell progress/ETA on stderr
@@ -161,7 +161,7 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 		noCache:  fs.Bool("no-cache", false, "recompute every cell, ignoring and not writing the cache"),
 		progress: fs.Bool("progress", false, "report per-cell progress and ETA on stderr"),
 		cellTime: fs.Duration("cell-timeout", 0, "per-cell wall-clock budget; an over-budget cell fails alone (0 = none)"),
-		sched:    fs.String("sched", "", "strand scheduler: 'step' (continuation driver where the cell supports it) or 'coroutine' (the general driver, used everywhere); empty defers to ROCKTM_SCHED, then 'step'"),
+		sched:    fs.String("sched", "", "strand scheduler for kv cells: 'step' (continuation driver where the cell supports it) or 'coroutine' (the general driver); fleet cells always run stepped; empty defers to ROCKTM_SCHED, then 'step'"),
 	}
 }
 

@@ -53,11 +53,12 @@ func TestFig2aCellAllocBudget(t *testing.T) {
 
 // fleetCellAllocsPerRequest is the allocation budget per request of a tiny
 // fleet cell (two PhTM shards, uniform keys, 10% cross-shard 2PC), with
-// fleet construction amortized over the cell's 2,000 requests. Strand
-// coroutines are pooled across Machine.Run calls and the service batch
-// path reuses per-shard and per-fleet buffers, so the steady state makes
-// no per-batch, per-leg or per-request allocation: the cell measures 0.24
-// (477 allocs, all construction). One allocation per batch adds ~0.13 and
+// fleet construction amortized over the cell's 2,000 requests. Batches
+// and 2PC phases run on the continuation driver through step functions
+// bound once per shard and per fleet, and the service batch path reuses
+// per-shard and per-fleet buffers, so the steady state makes no
+// per-batch, per-leg or per-request allocation: the cell measures 0.24
+// (472 allocs, all construction). One allocation per batch adds ~0.13 and
 // fails here; so does anything per request. Before the pool the cell made
 // ~30 allocs/request, and ~6 with the pool but per-batch service buffers.
 const fleetCellAllocsPerRequest = 0.3
@@ -65,7 +66,7 @@ const fleetCellAllocsPerRequest = 0.3
 // fleetCellByteBudget is the same cell's budget in bytes per cell. The
 // shard machines' large arrays come from the free list, so what remains is
 // the per-shard and per-fleet latency recorders and window series, which
-// are observation state, not construction: ~280 KB per cell, down from
+// are observation state, not construction: ~290 KB per cell, down from
 // 1.7 MB before the free list.
 const fleetCellByteBudget = 320 << 10
 

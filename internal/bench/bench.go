@@ -74,13 +74,14 @@ type Options struct {
 	// so parallel figures are byte-identical to serial ones.
 	Runner *runner.Pool
 
-	// Sched selects the strand scheduler for workload-driven cells:
+	// Sched selects the strand scheduler for workload-driven kv cells:
 	// SchedStep (the default) runs them on the continuation driver
 	// (sim.Machine.RunStepped, no coroutine handoffs) whenever the cell's
 	// machine design point and synchronization system support it;
 	// SchedCoroutine forces the general coroutine driver (sim.Machine.Run)
-	// everywhere; cells the continuation driver cannot run (fleet cells,
-	// committer-wins and timestamp design points) always use it. The
+	// for them; cells the continuation driver cannot run (committer-wins
+	// and timestamp design points) always use it. Fleet cells ignore it:
+	// the service tier runs only on the continuation driver. The
 	// choice cannot change results — both drivers produce byte-identical
 	// figures (pinned by the differential golden test) — so it deliberately
 	// stays out of cell cache keys. The empty value defers to the

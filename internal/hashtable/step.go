@@ -2,7 +2,9 @@
 // node allocation, pre-transaction initialization stores, the atomic block,
 // post-transaction reclamation — becomes an explicit state machine over the
 // system's core.StepBlock. The simulated-operation sequence is op-for-op
-// identical to the coroutine Session methods.
+// identical to the coroutine Session methods. AllocNodeStep and
+// FreeNodeStep are the allocation and reclamation steps on their own, for
+// callers that run their own atomic block over prepared nodes.
 package hashtable
 
 import (
@@ -20,31 +22,20 @@ const (
 
 // opStep states.
 const (
-	osGet uint8 = iota
-	osInit
+	osAlloc uint8 = iota
 	osBlock
-	osPut
+	osFree
 )
 
 // opStep is one session operation as a continuation machine.
 type opStep struct {
-	ss   *Session
-	sys  core.StepSystem
-	kind uint8
-	st   uint8
-	fi   int
-	val  sim.Word
-	get  alloc.GetStep
-	put  alloc.PutStep
-	sub  core.StepBlock
-}
-
-// initField returns insert's fi-th pre-transaction initialization store.
-func (o *opStep) initField() (sim.Addr, sim.Word) {
-	if o.fi == 0 {
-		return o.ss.node + fKey, o.ss.key
-	}
-	return o.ss.node + fVal, o.val
+	ss    *Session
+	sys   core.StepSystem
+	kind  uint8
+	st    uint8
+	alloc AllocNodeStep
+	free  FreeNodeStep
+	sub   core.StepBlock
 }
 
 // Step implements core.StepBlock.
@@ -53,22 +44,11 @@ func (o *opStep) Step() bool {
 	s := ss.s
 	for {
 		switch o.st {
-		case osGet:
-			if !o.get.Step(s, ss.t.pool) {
+		case osAlloc:
+			if !o.alloc.Step(s, ss.t) {
 				return false
 			}
-			ss.node = o.get.Addr()
-			o.fi = 0
-			o.st = osInit
-		case osInit:
-			for o.fi < 2 {
-				a, v := o.initField()
-				s.Store(a, v)
-				if s.YieldPending() {
-					return false
-				}
-				o.fi++
-			}
+			ss.node = o.alloc.Node()
 			ss.inserted = false
 			o.sub = o.sys.StepAtomic(s, ss.insertFn, false)
 			o.st = osBlock
@@ -84,16 +64,13 @@ func (o *opStep) Step() bool {
 				if !ss.inserted {
 					reclaim = ss.node
 				}
-				o.put.Arm(reclaim)
+				o.free.Arm(reclaim)
 			default:
-				o.put.Arm(ss.removed)
+				o.free.Arm(ss.removed)
 			}
-			o.st = osPut
-		default: // osPut
-			if !o.put.Step(s, ss.t.pool) {
-				return false
-			}
-			return true
+			o.st = osFree
+		default: // osFree
+			return o.free.Step(s, ss.t)
 		}
 	}
 }
@@ -122,9 +99,8 @@ func (ss *Session) StepLookup(key uint64) core.StepBlock {
 func (ss *Session) StepInsert(key uint64, val sim.Word) core.StepBlock {
 	o := ss.stepFor()
 	ss.key = key
-	o.val = val
-	o.kind, o.st = opInsert, osGet
-	o.get.Arm()
+	o.kind, o.st = opInsert, osAlloc
+	o.alloc.Arm(key, val)
 	return o
 }
 
@@ -137,3 +113,57 @@ func (ss *Session) StepDelete(key uint64) core.StepBlock {
 	o.sub = o.sys.StepAtomic(ss.s, ss.deleteFn, false)
 	return o
 }
+
+// AllocNodeStep is AllocNode as a continuation machine: a pool Get, then
+// the node's two initialization stores, outside any transaction.
+type AllocNodeStep struct {
+	get  alloc.GetStep
+	key  uint64
+	val  sim.Word
+	node sim.Addr
+	done int // steps completed: the pool Get, the key store, the value store
+}
+
+// Arm resets the machine to allocate a node for key→val.
+func (a *AllocNodeStep) Arm(key uint64, val sim.Word) {
+	a.get.Arm()
+	a.key, a.val, a.done = key, val, 0
+}
+
+// Step advances the allocation on s from t's pool; false means the strand
+// must yield. The node is available from Node once Step returns true.
+func (a *AllocNodeStep) Step(s *sim.Strand, t *Table) bool {
+	for ; a.done < 3; a.done++ {
+		switch a.done {
+		case 0:
+			if !a.get.Step(s, t.pool) {
+				return false
+			}
+			a.node = a.get.Addr()
+		case 1:
+			s.Store(a.node+fKey, a.key)
+		default:
+			s.Store(a.node+fVal, a.val)
+		}
+		if s.YieldPending() {
+			return false
+		}
+	}
+	return true
+}
+
+// Node returns the allocated node once Step has returned true.
+func (a *AllocNodeStep) Node() sim.Addr { return a.node }
+
+// FreeNodeStep is FreeNode as a continuation machine.
+type FreeNodeStep struct {
+	put alloc.PutStep
+}
+
+// Arm resets the machine to return node to the pool; a zero node is a
+// no-op, so callers can arm unconditionally.
+func (q *FreeNodeStep) Arm(node sim.Addr) { q.put.Arm(node) }
+
+// Step advances the reclamation on s into t's pool; false means the strand
+// must yield.
+func (q *FreeNodeStep) Step(s *sim.Strand, t *Table) bool { return q.put.Step(s, t.pool) }

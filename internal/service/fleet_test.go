@@ -224,6 +224,21 @@ func TestFleetConfigValidation(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Error("router/shard mismatch accepted")
 	}
+	// The continuation driver is the tier's only driver: a system without
+	// a continuation-machine form, or a machine design point that cannot
+	// step, is rejected instead of failing mid-run.
+	bad = base
+	bad.System = func(m *sim.Machine) core.System { return coroutineOnly{locktm.NewOneLock(m)} }
+	if _, err := New(bad); err == nil || !strings.Contains(err.Error(), "StepSystem") {
+		t.Errorf("system without StepAtomic: err %v, want a StepSystem rejection", err)
+	}
+	mc := MachineConfig(base, 0)
+	mc.HTM.Resolve = sim.ResCommitterWins
+	m := sim.New(mc)
+	defer m.Recycle()
+	if err := steppable(m, locktm.NewOneLock(m)); err == nil {
+		t.Error("committer-wins shard machine accepted")
+	}
 	f, err := New(base)
 	if err != nil {
 		t.Fatalf("valid config rejected: %v", err)
@@ -235,6 +250,9 @@ func TestFleetConfigValidation(t *testing.T) {
 		t.Error("CrossPct=101 accepted")
 	}
 }
+
+// coroutineOnly hides a system's continuation-machine form.
+type coroutineOnly struct{ core.System }
 
 // Recycling a fleet twice is harmless, and a recycled fleet refuses to
 // run instead of computing on arrays its successors now own.

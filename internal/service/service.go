@@ -151,9 +151,8 @@ func MachineConfig(cfg Config, shard int) sim.Config {
 type Shard struct {
 	id  int
 	m   *sim.Machine
-	sys core.System
+	sys core.StepSystem
 	tab *hashtable.Table
-	ses []*hashtable.Session
 
 	// 2PC per-key state in simulated memory: lock owner (txid or 0),
 	// staged value and staged op, each KeyRange words.
@@ -172,12 +171,28 @@ type Shard struct {
 	queue, singles, multis []Request
 	closeAt                int64
 
-	// runBatch is the Machine.Run body of a batch's single-shard requests,
-	// bound once in New; batchStart and batchDur are its per-batch inputs
-	// and output.
-	runBatch   func(*sim.Strand)
+	// batch is each strand's continuation over a batch's single-shard
+	// requests and startBatch the RunStepped start callback that hands them
+	// out, both bound once in New; batchStart and batchDur are the
+	// per-batch input and output.
+	batch      []batchStrand
+	startBatch func(*sim.Strand) sim.StepFn
 	batchStart int64
 	batchDur   int64
+}
+
+// batchStrand is one strand's share of a shard's batch as a continuation
+// machine: the single-shard requests round-robin by strand ID, each
+// completing at the batch start plus the strand's elapsed cycles.
+type batchStrand struct {
+	f   *Fleet
+	sh  *Shard
+	ses *hashtable.Session
+	s   *sim.Strand
+	idx int
+	t0  int64
+	sub core.StepBlock // the request in flight, nil between requests
+	fn  sim.StepFn
 }
 
 // Request is one unit of offered load: a single op, or two for a
@@ -231,14 +246,17 @@ func New(cfg Config) (*Fleet, error) {
 	f.leg.bind()
 	for i := 0; i < cfg.Shards; i++ {
 		m := sim.New(MachineConfig(cfg, i))
+		sys := cfg.System(m)
+		if err := steppable(m, sys); err != nil {
+			return nil, fmt.Errorf("service: shard %d: %w", i, err)
+		}
 		sh := &Shard{
 			id:  i,
 			m:   m,
-			sys: cfg.System(m),
+			sys: sys.(core.StepSystem),
 			lat: obs.NewLatencyRecorder(),
 			rec: timeseries.NewRecorder(cfg.Window),
 		}
-		sh.runBatch = func(st *sim.Strand) { f.runSingles(sh, st) }
 		sh.rec.SetFreqGHz(m.Config().Costs.FreqGHz)
 		m.AttachEventSink(sh.rec)
 		// Capacity: every key can be resident, plus in-flight churn headroom.
@@ -246,10 +264,14 @@ func New(cfg Config) (*Fleet, error) {
 		sh.lockOwner = m.Mem().Alloc(cfg.KeyRange, sim.WordsPerLine)
 		sh.stagedVal = m.Mem().Alloc(cfg.KeyRange, sim.WordsPerLine)
 		sh.stagedOp = m.Mem().Alloc(cfg.KeyRange, sim.WordsPerLine)
-		sh.ses = make([]*hashtable.Session, cfg.Strands)
-		for s := 0; s < cfg.Strands; s++ {
-			sh.ses[s] = sh.tab.NewSession(sh.sys, m.Strand(s))
+		sh.batch = make([]batchStrand, cfg.Strands)
+		for s := range sh.batch {
+			b := &sh.batch[s]
+			b.f, b.sh, b.s = f, sh, m.Strand(s)
+			b.ses = sh.tab.NewSession(sh.sys, b.s)
+			b.fn = b.step
 		}
+		sh.startBatch = sh.startBatchStrand
 		f.shards = append(f.shards, sh)
 	}
 	// The paper's standard half-full prepopulation, split by the router so
@@ -259,6 +281,19 @@ func New(cfg Config) (*Fleet, error) {
 		sh.tab.Prepopulate(sh.m.Mem(), []uint64{key}, 1)
 	}
 	return f, nil
+}
+
+// steppable reports why the service tier's only driver, the continuation
+// driver (sim.Machine.RunStepped), cannot run sys's atomic blocks on shard
+// machine m, or nil when it can.
+func steppable(m *sim.Machine, sys core.System) error {
+	if !core.CanStep(sys) {
+		return fmt.Errorf("system %q has no continuation-machine form (core.StepSystem)", sys.Name())
+	}
+	if !m.CanRunStepped() {
+		return fmt.Errorf("machine's HTM design point cannot run on the continuation driver")
+	}
+	return nil
 }
 
 // Shards returns the fleet's shard count.
@@ -451,7 +486,7 @@ func (f *Fleet) drain(src *workload.Source) {
 }
 
 // flush executes one shard's batch. Single-shard requests run inside one
-// machine.Run, spread round-robin across the shard's strands; multi-op
+// RunStepped, spread round-robin across the shard's strands; multi-op
 // requests then run their cross-shard transactions sequentially at the
 // coordinator. closeTime is the fleet cycle the batch closed; execution
 // starts once the shard machine is free.
@@ -471,7 +506,7 @@ func (f *Fleet) flush(sh *Shard, closeTime int64, src *workload.Source) {
 	sh.queue = sh.queue[:0]
 	if len(sh.singles) > 0 {
 		sh.batchStart, sh.batchDur = start, 0
-		sh.m.Run(sh.runBatch)
+		sh.m.RunStepped(sh.startBatch)
 		sh.busyUntil = start + sh.batchDur
 	} else if sh.busyUntil < start {
 		sh.busyUntil = start
@@ -487,29 +522,42 @@ func (f *Fleet) flush(sh *Shard, closeTime int64, src *workload.Source) {
 	}
 }
 
-// runSingles is strand st's share of sh's batch: the single-shard
-// requests round-robin by strand ID, each completing at the batch start
-// plus the strand's elapsed cycles.
-func (f *Fleet) runSingles(sh *Shard, st *sim.Strand) {
-	t0 := st.Clock()
-	ses := sh.ses[st.ID()]
-	for idx := st.ID(); idx < len(sh.singles); idx += f.cfg.Strands {
-		r := &sh.singles[idx]
-		op := r.ops[0]
-		switch op.Kind {
-		case Lookup:
-			ses.Lookup(op.Key)
-		case Insert:
-			ses.Insert(op.Key, op.Val)
-		default:
-			ses.Delete(op.Key)
+// startBatchStrand is the batch's RunStepped start callback: it rewinds
+// strand st's continuation to the strand's first request.
+func (sh *Shard) startBatchStrand(st *sim.Strand) sim.StepFn {
+	b := &sh.batch[st.ID()]
+	b.idx, b.t0, b.sub = st.ID(), st.Clock(), nil
+	return b.fn
+}
+
+// step runs the strand's requests forward, arming each one's session
+// operation, until they are all done (true) or the strand must yield.
+func (b *batchStrand) step() bool {
+	sh, st := b.sh, b.s
+	for ; b.idx < len(sh.singles); b.idx += b.f.cfg.Strands {
+		r := &sh.singles[b.idx]
+		if b.sub == nil {
+			op := r.ops[0]
+			switch op.Kind {
+			case Lookup:
+				b.sub = b.ses.StepLookup(op.Key)
+			case Insert:
+				b.sub = b.ses.StepInsert(op.Key, op.Val)
+			default:
+				b.sub = b.ses.StepDelete(op.Key)
+			}
 		}
-		off := st.Clock() - t0
-		f.complete(sh, st.Clock(), sh.batchStart+off, r.arrival)
+		if !b.sub.Step() {
+			return false
+		}
+		b.sub = nil
+		off := st.Clock() - b.t0
+		b.f.complete(sh, st.Clock(), sh.batchStart+off, r.arrival)
 	}
-	if d := st.Clock() - t0; d > sh.batchDur {
+	if d := st.Clock() - b.t0; d > sh.batchDur {
 		sh.batchDur = d
 	}
+	return true
 }
 
 // complete records one request's completion: machineCycle is the shard

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"rocktm/internal/core"
+	"rocktm/internal/hashtable"
 	"rocktm/internal/sim"
 )
 
@@ -79,9 +80,11 @@ const (
 )
 
 // leg is the 2PC phase in flight: one participant's prepare, commit or
-// abort transaction. A fleet runs one phase at a time on one goroutine,
-// so a single leg, with its Machine.Run and TM bodies bound once by bind,
-// serves every phase without allocating.
+// abort transaction, run as a continuation machine on strand 0 of the
+// participant's machine while the other strands finish at once. A fleet
+// runs one phase at a time on one goroutine, so a single leg, with its
+// RunStepped callbacks and TM bodies bound once by bind, serves every
+// phase without allocating.
 type leg struct {
 	kind  legKind
 	sh    *Shard
@@ -95,13 +98,34 @@ type leg struct {
 	inserted []bool
 	removed  []sim.Addr
 
-	run                          func(*sim.Strand)
+	// Continuation state on strand 0: the state, the op cursor of the
+	// commit's node allocations and frees, whether the cursor's node step
+	// is armed, and the transaction's block.
+	s     *sim.Strand
+	t0    int64
+	st    uint8
+	j     int
+	armed bool
+	alloc hashtable.AllocNodeStep
+	free  hashtable.FreeNodeStep
+	sub   core.StepBlock
+
+	start                        func(*sim.Strand) sim.StepFn
+	fn                           sim.StepFn
 	prepareTx, commitTx, abortTx func(core.Ctx)
 }
 
-// bind builds the leg's bodies once.
+// leg states: commit allocates its insert nodes before the transaction
+// and frees its losing and removed nodes after it.
+const (
+	lsAlloc uint8 = iota
+	lsBlock
+	lsFree
+)
+
+// bind builds the leg's callbacks and bodies once.
 func (l *leg) bind() {
-	l.run = l.strand
+	l.start, l.fn = l.startStrand, l.step
 	l.prepareTx, l.commitTx, l.abortTx = l.prepare, l.commit, l.abort
 }
 
@@ -117,27 +141,88 @@ func (f *Fleet) phase(kind legKind, i int, earliest int64, txid uint64, ops []Op
 	if l.sh.busyUntil > start {
 		start = l.sh.busyUntil
 	}
-	l.sh.m.Run(l.run)
+	l.sh.m.RunStepped(l.start)
 	l.sh.busyUntil = start + l.dur
 	return l.sh.busyUntil
 }
 
-// strand is the leg's Machine.Run body: strand 0 runs the transaction,
-// the other strands return at once.
-func (l *leg) strand(st *sim.Strand) {
+// finished is the step function of a strand with nothing to do.
+func finished() bool { return true }
+
+// startStrand is the leg's RunStepped start callback: strand 0 runs the
+// transaction, the other strands finish at once.
+func (l *leg) startStrand(st *sim.Strand) sim.StepFn {
 	if st.ID() != 0 {
-		return
+		return finished
 	}
-	t0 := st.Clock()
+	l.s, l.t0, l.j, l.armed = st, st.Clock(), 0, false
 	switch l.kind {
 	case legPrepare:
-		l.sh.sys.Atomic(st, l.prepareTx)
+		l.st, l.sub = lsBlock, l.sh.sys.StepAtomic(st, l.prepareTx, false)
 	case legCommit:
-		l.commitStrand(st)
+		n := len(l.ops)
+		l.nodes = slices.Grow(l.nodes[:0], n)[:n]
+		l.inserted = slices.Grow(l.inserted[:0], n)[:n]
+		l.removed = slices.Grow(l.removed[:0], n)[:n]
+		l.st = lsAlloc
 	default:
-		l.sh.sys.Atomic(st, l.abortTx)
+		l.st, l.sub = lsBlock, l.sh.sys.StepAtomic(st, l.abortTx, false)
 	}
-	l.dur = st.Clock() - t0
+	return l.fn
+}
+
+// step runs strand 0's phase forward until it is done (true) or the
+// strand must yield.
+func (l *leg) step() bool {
+	st, tab := l.s, l.sh.tab
+	for {
+		switch l.st {
+		case lsAlloc:
+			for ; l.j < len(l.ops); l.j++ {
+				op := l.ops[l.j]
+				l.nodes[l.j] = 0
+				if op.Kind != Insert {
+					continue
+				}
+				if !l.armed {
+					l.alloc.Arm(op.Key, op.Val)
+					l.armed = true
+				}
+				if !l.alloc.Step(st, tab) {
+					return false
+				}
+				l.armed = false
+				l.nodes[l.j] = l.alloc.Node()
+			}
+			l.st, l.sub = lsBlock, l.sh.sys.StepAtomic(st, l.commitTx, false)
+		case lsBlock:
+			if !l.sub.Step() {
+				return false
+			}
+			if l.kind != legCommit {
+				l.dur = st.Clock() - l.t0
+				return true
+			}
+			l.st, l.j = lsFree, 0
+		default: // lsFree
+			for ; l.j < len(l.ops); l.j++ {
+				if !l.armed {
+					node := l.removed[l.j]
+					if l.ops[l.j].Kind == Insert && !l.inserted[l.j] {
+						node = l.nodes[l.j]
+					}
+					l.free.Arm(node)
+					l.armed = true
+				}
+				if !l.free.Step(st, tab) {
+					return false
+				}
+				l.armed = false
+			}
+			l.dur = st.Clock() - l.t0
+			return true
+		}
+	}
 }
 
 // PrepareShard runs the prepare transaction for txid's ops on shard i,
@@ -179,34 +264,10 @@ func (l *leg) prepare(c core.Ctx) {
 // CommitShard runs the commit transaction for txid's ops on shard i:
 // apply every staged op to the table and release the owner and staged
 // words, all in one TM transaction. Insert nodes are preallocated before
-// the atomic block (the Session pattern), and losers are returned to the
-// pool after it.
+// the atomic block (the Session pattern), and losers and removed nodes are
+// returned to the pool after it.
 func (f *Fleet) CommitShard(i int, at int64, txid uint64, ops []Op) int64 {
 	return f.phase(legCommit, i, at, txid, ops)
-}
-
-// commitStrand runs the commit transaction on st, with its node
-// preallocation before and its node frees after.
-func (l *leg) commitStrand(st *sim.Strand) {
-	sh, n := l.sh, len(l.ops)
-	l.nodes = slices.Grow(l.nodes[:0], n)[:n]
-	l.inserted = slices.Grow(l.inserted[:0], n)[:n]
-	l.removed = slices.Grow(l.removed[:0], n)[:n]
-	for j, op := range l.ops {
-		l.nodes[j] = 0
-		if op.Kind == Insert {
-			l.nodes[j] = sh.tab.AllocNode(st, op.Key, op.Val)
-		}
-	}
-	sh.sys.Atomic(st, l.commitTx)
-	for j, op := range l.ops {
-		if op.Kind == Insert && !l.inserted[j] {
-			sh.tab.FreeNode(st, l.nodes[j])
-		}
-		if l.removed[j] != 0 {
-			sh.tab.FreeNode(st, l.removed[j])
-		}
-	}
 }
 
 // commit is the commit transaction's body.

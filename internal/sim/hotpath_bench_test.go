@@ -129,8 +129,10 @@ func runRepeatedBody(s *Strand) {
 }
 
 // BenchmarkMachineRunRepeated measures one whole Run call on a 4-strand
-// machine with a trivial body — the per-call cost the service tier pays
-// for every batch and every 2PC phase. With pooled strand coroutines a
+// machine with a trivial body: the coroutine driver's fixed per-call cost
+// (lending, switching into and returning four pooled strand coroutines),
+// which experiments without step forms and the committer-wins and
+// timestamp design points pay per Run. With pooled strand coroutines a
 // warm Run creates no goroutine and allocates nothing; starting four
 // fresh iter.Pull coroutines per call cost several allocations each plus
 // their stack growth.
@@ -153,6 +155,68 @@ func TestMachineRunRepeatedAllocs(t *testing.T) {
 	m := New(cfg)
 	if allocs := testing.AllocsPerRun(200, func() { m.Run(runRepeatedBody) }); allocs > 1 {
 		t.Errorf("Machine.Run allocates %.1f times per call, budget is 1 — the strand coroutines are no longer reused", allocs)
+	}
+}
+
+// repeatedStep is runRepeatedBody as a continuation machine: the same
+// four quantum-crossing advances, re-invoked from the interrupted one
+// after each yield.
+type repeatedStep struct {
+	s  *Strand
+	i  int
+	fn StepFn
+}
+
+func (r *repeatedStep) step() bool {
+	for r.i < 4 {
+		r.s.Advance(100)
+		if r.s.YieldPending() {
+			return false
+		}
+		r.i++
+	}
+	return true
+}
+
+// newRepeatedStepped builds a 4-strand machine and the RunStepped start
+// callback of runRepeatedBody's step form, bound once so that a call
+// builds no closure.
+func newRepeatedStepped() (*Machine, func(*Strand) StepFn) {
+	cfg := DefaultConfig(4)
+	cfg.MemWords = 1 << 16
+	m := New(cfg)
+	steps := make([]repeatedStep, 4)
+	for i := range steps {
+		steps[i].s = m.Strand(i)
+		steps[i].fn = steps[i].step
+	}
+	return m, func(s *Strand) StepFn {
+		r := &steps[s.ID()]
+		r.i = 0
+		return r.fn
+	}
+}
+
+// BenchmarkMachineRunSteppedRepeated is BenchmarkMachineRunRepeated on the
+// continuation driver: one whole RunStepped call on a 4-strand machine
+// with the same trivial, quantum-crossing body written as step functions.
+// It is the per-call scheduler cost the service tier pays for every batch
+// and every 2PC phase.
+func BenchmarkMachineRunSteppedRepeated(b *testing.B) {
+	m, start := newRepeatedStepped()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.RunStepped(start)
+	}
+}
+
+// TestMachineRunSteppedRepeatedAllocs pins BenchmarkMachineRunSteppedRepeated
+// at zero allocations per call.
+func TestMachineRunSteppedRepeatedAllocs(t *testing.T) {
+	m, start := newRepeatedStepped()
+	if allocs := testing.AllocsPerRun(200, func() { m.RunStepped(start) }); allocs != 0 {
+		t.Errorf("Machine.RunStepped allocates %.1f times per call, want 0", allocs)
 	}
 }
 
